@@ -49,6 +49,17 @@ def _num(x, mode: str):
     return float(x) if mode == "float" else fraction_str(x)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -304,9 +315,13 @@ def main(argv=None) -> int:
     p_cls.set_defaults(func=cmd_classify)
 
     p_census = sub.add_parser("census", help="enumerate small graph classes to JSONL")
-    p_census.add_argument("--max-p", type=int, required=True, help="largest vertex count")
+    p_census.add_argument(
+        "--max-p", type=_positive_int, required=True, help="largest vertex count (>= 1)"
+    )
     p_census.add_argument("--all", action="store_true", help="include disconnected classes")
-    p_census.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_census.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel workers (>= 1)"
+    )
     p_census.add_argument("-o", "--output", required=True, help="JSONL output path")
     p_census.set_defaults(func=cmd_census)
 

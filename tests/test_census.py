@@ -1,5 +1,8 @@
+import itertools
 import random
+from collections import Counter
 
+import reference_census
 from graphsolitons import (
     Graph,
     canonical_form,
@@ -7,6 +10,22 @@ from graphsolitons import (
     is_connected,
     is_positive,
 )
+
+# Graphs on p = 1..7 vertices up to isomorphism: OEIS A001349 (connected) and
+# A000088 (all).
+A001349 = [1, 1, 2, 6, 21, 112, 853]
+A000088 = [1, 2, 4, 11, 34, 156, 1044]
+
+
+def _check_against_reference(g):
+    """The canonical form equals the reference one, and every reported
+    generator is an automorphism of the canonical graph."""
+    generators = []
+    canon = canonical_form(g, generators=generators)
+    assert canon == reference_census.canonical_form(g)
+    for s in generators:
+        assert s.n == g.p
+        assert {tuple(sorted((s(i), s(j)))) for i, j in canon} == set(canon)
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -96,3 +115,38 @@ def test_disconnected_classes_included_when_asked():
     # 1 + 2 + 4 graphs on 1..3 vertices up to isomorphism
     assert len(all_p3) == 7
     assert sum(1 for g in all_p3 if is_connected(g)) == 4
+
+
+def test_canonical_form_matches_reference_on_every_small_graph():
+    for p in range(1, 6):
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            _check_against_reference(
+                Graph(p=p, edges=tuple(e for e, on in zip(pairs, chosen) if on))
+            )
+
+
+def test_canonical_form_matches_reference_on_random_graphs():
+    rng = random.Random(2014)
+    # 2000 graphs; the reference explores every tying ordering, so larger p
+    # gets fewer.
+    for p, count in ((6, 1450), (7, 450), (8, 100)):
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        for _ in range(count):
+            density = rng.random()
+            _check_against_reference(
+                Graph(p=p, edges=tuple(e for e in pairs if rng.random() < density))
+            )
+
+
+def test_graph_classes_match_reference_enumeration():
+    assert graph_classes(6, connected_only=False) == reference_census.graph_classes(
+        6, connected_only=False
+    )
+
+
+def test_class_counts_match_oeis():
+    connected = Counter(g.p for g in graph_classes(7))
+    assert [connected[p] for p in range(1, 8)] == A001349
+    everything = Counter(g.p for g in graph_classes(7, connected_only=False))
+    assert [everything[p] for p in range(1, 8)] == A000088

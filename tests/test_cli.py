@@ -1,5 +1,8 @@
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from graphsolitons import Graph, solve_weights
 from graphsolitons.cli import main
@@ -242,6 +245,40 @@ def test_census_all_includes_disconnected(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["classes"] == 7 and summary["connected_only"] is False
+
+
+def test_census_all_p6_golden(tmp_path, capsys):
+    # sha256 of the JSONL, and of stdout without its output-path line, as
+    # written by the exhaustive census that the pruned one replaced.
+    out_path = tmp_path / "all6.jsonl"
+    code, out, err = _run(capsys, ["census", "--max-p", "6", "--all", "-o", str(out_path)])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "f5aa94693445733da525aeb3152093ff9b456948a282e688b408adb59ddf3280"
+    )
+    lines = out.splitlines(keepends=True)
+    output_line = f"  \"output\": {json.dumps(str(out_path))},\n"
+    assert lines.count(output_line) == 1
+    lines.remove(output_line)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "df6fd9320527828e16e1bd8c798bcdca15d85fe3033dbe7a023de84000b76df4"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-p", "0"), ("--max-p", "-3"), ("--jobs", "0"), ("--jobs", "-2")],
+)
+def test_census_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "never.jsonl"
+    args = {"--max-p": "3", "--jobs": "1", flag: value}
+    argv = ["census", "-o", str(out_path)] + [x for item in args.items() for x in item]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0] and ">= 1" in errors[0]
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- table1

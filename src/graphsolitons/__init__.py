@@ -9,7 +9,6 @@ of the graph's automorphism group on subspaces of R^p.
 """
 
 from .algebra import (
-    FLOAT_RESIDUAL_TOL,
     MetricLieAlgebra,
     NotSoliton,
     SolitonCertificate,
@@ -43,6 +42,7 @@ from .errors import (
     WeightingMismatch,
 )
 from .graphs import (
+    MAX_ALGEBRA_DIM,
     CoherentDecomposition,
     Graph,
     Permutation,

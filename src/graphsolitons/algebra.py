@@ -7,13 +7,11 @@ matrix.  The Ricci operator of the corresponding left-invariant metric is
 
 where M is the two-term moment-map part, B the Killing operator, H the mean
 curvature vector (``<H,x> = tr ad_x``), and ``S`` the metric symmetrization
-``A -> (A + A*)/2``.  Everything is computed exactly over Fractions by
-default; ``mode="float"`` switches to numpy with a 1e-9 residual tolerance
-(useful for quick exploration on larger algebras).
+``A -> (A + A*)/2``.  Everything is computed exactly over Fractions.
 
 A metric algebra is a *Ricci soliton* when ``Ric = c I + D`` for a scalar c
 and a derivation D.  Membership of ``Ric - c I`` in the derivation algebra is
-linear in c, so exact mode decides solitonhood exactly; the least-squares
+linear in c, so solitonhood is decided exactly; the least-squares
 projection onto ``span{I} + Der`` supplies the reported residual when the
 answer is negative.
 """
@@ -23,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (
     DegenerateGram,
@@ -37,7 +33,6 @@ from .positivity import Weighting
 from .rational import (
     ONE,
     ZERO,
-    frac,
     identity,
     inverse,
     leading_minors_all_positive,
@@ -45,8 +40,6 @@ from .rational import (
     solve_unique,
     sparse_nullspace,
 )
-
-FLOAT_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -233,15 +226,8 @@ def _rows_of(sparse: dict) -> dict:
     return rows
 
 
-def ricci(L: MetricLieAlgebra, mode: str = "exact"):
-    """The Ricci operator in the algebra's basis.
-
-    Exact mode returns a dense Fraction matrix; float mode a numpy array.
-    """
-    if mode == "float":
-        return _ricci_float(L)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
+def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
+    """The Ricci operator in the algebra's basis, as a dense Fraction matrix."""
     n = L.n
     g_dense = [list(row) for row in L.gram]
     ginv_dense = inverse(g_dense)
@@ -318,36 +304,6 @@ def ricci(L: MetricLieAlgebra, mode: str = "exact"):
         for i in range(n):
             for j in range(n):
                 ric[i][j] -= (ad_h[i][j] + adj[i][j]) / 2
-    return ric
-
-
-def _ricci_float(L: MetricLieAlgebra) -> np.ndarray:
-    n = L.n
-    g = np.array([[float(x) for x in row] for row in L.gram])
-    ginv = np.linalg.inv(g)
-    ads = np.zeros((n, n, n))
-    for a in range(n):
-        for k, j, v in L.ad_entries[a]:
-            ads[a, k, j] = float(v)
-    ws = np.einsum("st,btu,uv->bsv", g, ads, ginv)
-    f = -0.5 * np.einsum("ast,bst->ab", ads, ws)
-    # structure tensor c[i,j,k] = c^k_{ij}
-    c = np.zeros((n, n, n))
-    for (i, j), coeffs in L.bracket_map.items():
-        for k, val in coeffs.items():
-            c[i, j, k] = float(val)
-            c[j, i, k] = -float(val)
-    r = np.einsum("ijk,ka->aij", c, g)
-    qmats = np.einsum("st,atu->asu", ginv, r)
-    f -= 0.25 * np.einsum("aij,bji->ab", qmats, qmats)
-    f -= 0.5 * np.einsum("akj,bjk->ab", ads, ads)
-    ric = ginv @ f
-    traces = np.einsum("akk->a", ads)
-    if np.any(np.abs(traces) > 0):
-        h = np.linalg.solve(g, traces)
-        ad_h = np.einsum("a,akj->kj", h, ads)
-        adj = ginv @ ad_h.T @ g
-        ric -= 0.5 * (ad_h + adj)
     return ric
 
 
@@ -447,10 +403,9 @@ def symmetric_derivation_dimension(
 class SolitonCertificate:
     """Exact witness of ``Ric = c I + D`` with D a derivation."""
 
-    c: object
-    derivation: tuple
-    residual: object
-    mode: str
+    c: Fraction
+    derivation: tuple[tuple[Fraction, ...], ...]
+    residual: Fraction
 
     def derivation_matrix(self):
         return [list(row) for row in self.derivation]
@@ -460,23 +415,18 @@ class SolitonCertificate:
 class NotSoliton:
     """Best least-squares residual of Ric against ``span{I} + Der``."""
 
-    residual: object
-    mode: str
+    residual: Fraction
 
 
-def check_soliton(L: MetricLieAlgebra, mode: str = "exact"):
+def check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
     """Decide whether the metric algebra is a Ricci soliton.
 
-    Exact mode: ``Ric - c I`` must satisfy every Leibniz functional, which is
-    linear in c; the unique candidate (or the traceless choice when the
-    identity is itself a derivation) is checked exactly.  Returns a
+    ``Ric - c I`` must satisfy every Leibniz functional, which is linear in
+    c; the unique candidate (or the traceless choice when the identity is
+    itself a derivation) is checked exactly.  Returns a
     :class:`SolitonCertificate` with residual 0, or :class:`NotSoliton` with
     the exact max-norm residual of the least-squares projection.
     """
-    if mode == "float":
-        return _check_soliton_float(L)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     n = L.n
     ric = ricci(L)
     rows = leibniz_rows(L)
@@ -493,41 +443,20 @@ def check_soliton(L: MetricLieAlgebra, mode: str = "exact"):
         if all(rv == 0 for rv in ric_vals):
             c = sum(ric[i][i] for i in range(n)) / n
         else:
-            return _not_soliton_exact(L, ric, rows)
+            return _not_soliton(L, ric, rows)
     if any(rv - c * iv != 0 for rv, iv in zip(ric_vals, id_vals)):
-        return _not_soliton_exact(L, ric, rows)
+        return _not_soliton(L, ric, rows)
     deriv = tuple(
         tuple(ric[i][j] - (c if i == j else ZERO) for j in range(n)) for i in range(n)
     )
-    return SolitonCertificate(c=c, derivation=deriv, residual=ZERO, mode="exact")
+    return SolitonCertificate(c=c, derivation=deriv, residual=ZERO)
 
 
-def _not_soliton_exact(L, ric, rows) -> NotSoliton:
+def _not_soliton(L, ric, rows) -> NotSoliton:
     n = L.n
     target = {i * n + j: v for i, row in enumerate(ric) for j, v in enumerate(row) if v != 0}
     columns = [{i * n + i: ONE for i in range(n)}]
     columns.extend(sparse_nullspace(rows, n * n))
     _coeffs, resid = lstsq_exact(columns, target)
     residual = max((abs(v) for v in resid.values()), default=ZERO)
-    return NotSoliton(residual=residual, mode="exact")
-
-
-def _check_soliton_float(L):
-    n = L.n
-    ric = _ricci_float(L)
-    columns = [np.eye(n).reshape(-1)]
-    for vec in sparse_nullspace(leibniz_rows(L), n * n):
-        m = np.zeros(n * n)
-        for key, v in vec.items():
-            m[key] = float(v)
-        columns.append(m)
-    a = np.stack(columns, axis=1)
-    target = ric.reshape(-1)
-    x, *_ = np.linalg.lstsq(a, target, rcond=None)
-    resid = target - a @ x
-    residual = float(np.max(np.abs(resid))) if resid.size else 0.0
-    if residual <= FLOAT_RESIDUAL_TOL:
-        d = (target - x[0] * columns[0]).reshape(n, n)
-        deriv = tuple(tuple(float(v) for v in row) for row in d)
-        return SolitonCertificate(c=float(x[0]), derivation=deriv, residual=residual, mode="float")
-    return NotSoliton(residual=residual, mode="float")
+    return NotSoliton(residual=residual)

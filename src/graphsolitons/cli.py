@@ -5,16 +5,12 @@ All structured output is JSON with sorted keys and exact fraction strings, so
 repeated runs are byte-identical.  Exit codes: 0 affirmative, 1 well-formed
 negative (non-positive graph, inequivalent subspaces, criterion mismatch),
 2 malformed input or usage.
-
-The environment variable ``SOLITON_MODE`` (``exact`` | ``float``) selects the
-arithmetic used for Ricci/soliton computations; the default is exact.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -25,7 +21,7 @@ from .algebra import (
     symmetric_derivation_dimension,
 )
 from .census import graph_classes
-from .errors import GraphFormatError, GraphSolitonsError, GroupTooLarge
+from .errors import GraphSolitonsError, GroupTooLarge
 from .graphs import Graph, automorphisms, coherent_components, parse_graph
 from .positivity import (
     TABLE_ROWS,
@@ -43,10 +39,6 @@ from .subspaces import (
     parse_subspace,
     subspace_equivalent,
 )
-
-
-def _num(x, mode: str):
-    return float(x) if mode == "float" else fraction_str(x)
 
 
 def _positive_int(text: str) -> int:
@@ -77,7 +69,7 @@ def _basis_json(s: SubspaceParam):
     return [[fraction_str(x) for x in row] for row in s.basis]
 
 
-def cmd_analyze(args, mode: str) -> int:
+def cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     decision = is_positive(g)
     cd = coherent_components(g)
@@ -102,17 +94,17 @@ def cmd_analyze(args, mode: str) -> int:
         report["nu"] = fraction_str(w.nu)
     if decision.positive:
         algebra = graph_algebra(g, decision.weighting)
-        cert = check_soliton(algebra, mode)
+        cert = check_soliton(algebra)
         if isinstance(cert, NotSoliton):
-            report["soliton"] = {"soliton": False, "residual": _num(cert.residual, mode)}
+            report["soliton"] = {"soliton": False, "residual": fraction_str(cert.residual)}
         else:
             report["soliton"] = {
                 "soliton": True,
-                "c": _num(cert.c, mode),
+                "c": fraction_str(cert.c),
                 "derivation_diagonal": [
-                    _num(cert.derivation[i][i], mode) for i in range(algebra.n)
+                    fraction_str(cert.derivation[i][i]) for i in range(algebra.n)
                 ],
-                "residual": _num(cert.residual, mode),
+                "residual": fraction_str(cert.residual),
             }
         report["sym_derivation_dim"] = symmetric_derivation_dimension(algebra, cd)[0]
     else:
@@ -132,7 +124,7 @@ def _load_subspace(path: str, p: int) -> SubspaceParam:
     return s
 
 
-def cmd_solsoliton(args, mode: str) -> int:
+def cmd_solsoliton(args) -> int:
     g = _load_graph(args.graph)
     decision = is_positive(g)
     if not decision.positive:
@@ -152,7 +144,7 @@ def cmd_solsoliton(args, mode: str) -> int:
     else:
         s = _load_subspace(args.subspace, g.p)
     sol = build_solsoliton(g, w, s)
-    cert = check_soliton(sol, mode)
+    cert = check_soliton(sol)
     try:
         canonical = _basis_json(canonical_subspace(g, s))
     except GroupTooLarge:
@@ -168,33 +160,27 @@ def cmd_solsoliton(args, mode: str) -> int:
     }
     if isinstance(cert, NotSoliton):
         report["soliton"] = False
-        report["residual"] = _num(cert.residual, mode)
+        report["residual"] = fraction_str(cert.residual)
         _print_json(report)
         return 1
     d = cert.derivation
-    if mode == "float":
-        einstein = max(abs(x) for row in d for x in row) <= 1e-9 if sol.n else True
-        diag_only = all(abs(d[i][j]) <= 1e-9 for i in range(sol.n) for j in range(sol.n) if i != j)
-    else:
-        einstein = all(x == 0 for row in d for x in row)
-        diag_only = all(
-            d[i][j] == 0 for i in range(sol.n) for j in range(sol.n) if i != j
-        )
+    einstein = all(x == 0 for row in d for x in row)
+    diag_only = all(d[i][j] == 0 for i in range(sol.n) for j in range(sol.n) if i != j)
     report.update(
         {
             "soliton": True,
-            "c": _num(cert.c, mode),
-            "residual": _num(cert.residual, mode),
+            "c": fraction_str(cert.c),
+            "residual": fraction_str(cert.residual),
             "einstein": einstein,
             "derivation_is_diagonal": diag_only,
-            "derivation_diagonal": [_num(d[i][i], mode) for i in range(sol.n)],
+            "derivation_diagonal": [fraction_str(d[i][i]) for i in range(sol.n)],
         }
     )
     _print_json(report)
     return 0
 
 
-def cmd_classify(args, mode: str) -> int:
+def cmd_classify(args) -> int:
     g = _load_graph(args.graph)
     s1 = _load_subspace(args.subspace_a, g.p)
     s2 = _load_subspace(args.subspace_b, g.p)
@@ -228,7 +214,7 @@ def _census_record(g: Graph) -> dict:
     return record
 
 
-def cmd_census(args, mode: str) -> int:
+def cmd_census(args) -> int:
     classes = graph_classes(args.max_p, connected_only=not args.all)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -256,7 +242,7 @@ def cmd_census(args, mode: str) -> int:
     return 0
 
 
-def cmd_table1(args, mode: str) -> int:
+def cmd_table1(args) -> int:
     import itertools
 
     checked = 0
@@ -326,7 +312,9 @@ def main(argv=None) -> int:
     p_census.set_defaults(func=cmd_census)
 
     p_table = sub.add_parser("table1", help="closed-form family criteria vs the exact solver")
-    p_table.add_argument("--max", type=int, default=8, help="largest block size")
+    p_table.add_argument(
+        "--max", type=_positive_int, default=8, help="largest block size (>= 1)"
+    )
     p_table.set_defaults(func=cmd_table1)
 
     try:
@@ -334,19 +322,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    mode = os.environ.get("SOLITON_MODE", "exact")
-    if mode not in ("exact", "float"):
-        sys.stderr.write(f"error: SOLITON_MODE must be 'exact' or 'float', got {mode!r}\n")
-        return 2
     try:
-        return args.func(args, mode)
-    except GraphFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except GraphSolitonsError as exc:
+        return args.func(args)
+    except (OSError, GraphSolitonsError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -26,6 +26,11 @@ from .errors import (
 COMPLETE = "complete"
 DISCRETE = "discrete"
 
+# Largest algebra dimension p + q that ``parse_graph`` accepts.  The soliton
+# pipeline works with dense n x n matrices and n(n+1)/2 symmetric basis
+# matrices, so memory grows like n^4; K13 (p + q = 91) fits.
+MAX_ALGEBRA_DIM = 100
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -91,7 +96,8 @@ def parse_graph(text: str) -> Graph:
 
     First non-comment line: vertex count ``p``.  Each further line: one edge
     ``i j`` (1-based; either endpoint order).  ``#`` starts a comment; blank
-    lines are ignored.
+    lines are ignored.  The algebra dimension ``p + q`` may not exceed
+    :data:`MAX_ALGEBRA_DIM`.
     """
     p = None
     edges = []
@@ -102,11 +108,19 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if p is None:
-            if len(parts) != 1 or not parts[0].lstrip("-").isdigit():
+            try:
+                p = int(parts[0]) if len(parts) == 1 and parts[0].lstrip("-").isdigit() else None
+            except ValueError:  # non-ASCII digits, or more than int() converts
+                p = None
+            if p is None:
                 raise MalformedLine(f"line {lineno}: expected vertex count, got {raw!r}")
-            p = int(parts[0])
             if p < 1:
                 raise MalformedLine(f"line {lineno}: vertex count must be >= 1")
+            if p > MAX_ALGEBRA_DIM:
+                raise MalformedLine(
+                    f"line {lineno}: vertex count {p} exceeds the limit of "
+                    f"{MAX_ALGEBRA_DIM} on p + q"
+                )
             continue
         if len(parts) != 2:
             raise MalformedLine(f"line {lineno}: expected 'i j', got {raw!r}")
@@ -125,6 +139,10 @@ def parse_graph(text: str) -> Graph:
         edges.append((lo, hi))
     if p is None:
         raise MalformedLine("no vertex count line found")
+    if p + len(edges) > MAX_ALGEBRA_DIM:
+        raise MalformedLine(
+            f"p + q = {p + len(edges)} exceeds the limit of {MAX_ALGEBRA_DIM}"
+        )
     return Graph(p=p, edges=tuple(edges))
 
 

@@ -15,7 +15,6 @@ test suite.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -121,17 +120,20 @@ def solve_weights(g: Graph) -> Weighting | NotPositive:
 
     Returns a :class:`Weighting` normalized to ``sum(c) == 1`` when every
     weight is positive, else a :class:`NotPositive` carrying the nu = 1
-    solution and the offending edge indices.
+    solution and the offending edge indices.  The solution of the reduced
+    class system is checked against every edge equation; a failure raises
+    ``RuntimeError``.
     """
     if g.q == 0:
         raise EmptyEdgeSet("graph has no edges")
     class_ids, n_classes = edge_similarity_classes(g)
     c = _solve_reduced(g, class_ids, n_classes)
     if not _verify_full(g, c, ONE):
-        # should be unreachable: similar edges carry equal weights
-        warnings.warn("reduced positivity system disagreed; solving in full")
-        c = solve_unique(positivity_matrix(g), [ONE] * g.q)
-        assert _verify_full(g, c, ONE)
+        # similar edges carry equal weights, so this is an internal fault
+        raise RuntimeError(
+            f"reduced positivity solution fails (3I + A) c = 1 for the graph "
+            f"p={g.p}, edges={list(g.edges)}"
+        )
     failing = tuple(k + 1 for k, ck in enumerate(c) if ck <= 0)
     if failing:
         return NotPositive(c=tuple(c), failing_indices=failing)

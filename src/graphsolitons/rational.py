@@ -59,18 +59,6 @@ def mat_mul(a, b) -> list[list[Fraction]]:
     return out
 
 
-def mat_vec(a, v) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v) if x != 0), ZERO) for row in a]
-
-
-def transpose(a) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_eq_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (new matrix, pivot column list)."""
     m = [[frac(x) for x in row] for row in mat]

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from graphsolitons import (
-    FLOAT_RESIDUAL_TOL,
     DegenerateGram,
     DimensionMismatch,
     Graph,
@@ -213,20 +212,6 @@ def test_ricci_form_is_symmetric_with_gram():
                 assert form[a][b] == form[b][a]
 
 
-def test_ricci_unknown_mode(k2):
-    with pytest.raises(ValueError):
-        ricci(graph_algebra(k2), mode="symbolic")
-
-
-def test_ricci_float_close_to_exact(paw):
-    L = graph_algebra(paw, solve_weights(paw))
-    exact = ricci(L)
-    approx = ricci(L, mode="float")
-    for a in range(L.n):
-        for b in range(L.n):
-            assert abs(float(exact[a][b]) - approx[a][b]) < 1e-12
-
-
 # ---------------------------------------------------------------- derivations
 
 def test_derivation_dimensions_reference(paw):
@@ -320,7 +305,6 @@ def test_check_soliton_paw_certificate(paw):
     assert isinstance(cert, SolitonCertificate)
     assert cert.c == F(-2, 3)
     assert cert.residual == 0
-    assert cert.mode == "exact"
     D = cert.derivation_matrix()
     assert is_derivation(L, D)
     expected = (F(5, 12), F(5, 12), F(1, 3), F(1, 2), F(3, 4), F(3, 4), F(5, 6), F(5, 6))
@@ -354,7 +338,6 @@ def test_check_soliton_canonical_metric_not_soliton(p4):
     result = check_soliton(graph_algebra(p4))
     assert isinstance(result, NotSoliton)
     assert result.residual > 0
-    assert result.mode == "exact"
 
 
 def test_check_soliton_abelian():
@@ -385,28 +368,3 @@ def test_check_soliton_all_weighted_graphs(connected_classes_p5):
         for a in range(L.n):
             assert D[a][a] == diag[a] - cert.c
 
-
-def test_check_soliton_unknown_mode(k2):
-    with pytest.raises(ValueError):
-        check_soliton(graph_algebra(k2), mode="fast")
-
-
-def test_check_soliton_float_mode(paw):
-    w = solve_weights(paw)
-    L = graph_algebra(paw, w)
-    cert = check_soliton(L, mode="float")
-    assert isinstance(cert, SolitonCertificate)
-    assert cert.mode == "float"
-    assert abs(cert.c - float(F(-2, 3))) < 1e-12
-    assert cert.residual <= FLOAT_RESIDUAL_TOL
-    expected = (F(5, 12), F(5, 12), F(1, 3), F(1, 2), F(3, 4), F(3, 4), F(5, 6), F(5, 6))
-    D = cert.derivation_matrix()
-    for a in range(8):
-        assert abs(D[a][a] - float(expected[a])) < 1e-9
-
-
-def test_check_soliton_float_mode_rejects(p4):
-    result = check_soliton(graph_algebra(p4), mode="float")
-    assert isinstance(result, NotSoliton)
-    assert result.mode == "float"
-    assert result.residual > FLOAT_RESIDUAL_TOL

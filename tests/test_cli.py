@@ -97,26 +97,29 @@ def test_usage_error(capsys):
     assert code == 2
 
 
-def test_invalid_soliton_mode(tmp_path, capsys, monkeypatch):
+def test_soliton_mode_env_is_ignored(tmp_path, capsys, monkeypatch):
+    # the former float switch: every setting now gives the same exact report
     path = _write(tmp_path, "paw.graph", PAW_TEXT)
-    monkeypatch.setenv("SOLITON_MODE", "symbolic")
-    code, out, err = _run(capsys, ["analyze", path])
-    assert code == 2
-    assert "SOLITON_MODE" in err
+    outputs = []
+    for value in (None, "float", "symbolic"):
+        if value is None:
+            monkeypatch.delenv("SOLITON_MODE", raising=False)
+        else:
+            monkeypatch.setenv("SOLITON_MODE", value)
+        code, out, err = _run(capsys, ["analyze", path])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["soliton"]["c"] == "-2/3"
 
 
-def test_float_soliton_mode(tmp_path, capsys, monkeypatch):
-    path = _write(tmp_path, "paw.graph", PAW_TEXT)
-    monkeypatch.setenv("SOLITON_MODE", "float")
+def test_analyze_rejects_oversized_vertex_count(tmp_path, capsys):
+    path = _write(tmp_path, "huge.graph", "100000\n")
     code, out, err = _run(capsys, ["analyze", path])
-    assert code == 0
-    report = json.loads(out)
-    sol = report["soliton"]
-    assert sol["soliton"] is True
-    assert abs(sol["c"] - (-2 / 3)) < 1e-12
-    assert sol["residual"] <= 1e-9
-    # exact fields unaffected by the mode
-    assert report["weights"] == ["1/6", "1/6", "1/3", "1/3"]
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "100000" in errors[0]
 
 
 # ---------------------------------------------------------------- solsoliton
@@ -295,3 +298,12 @@ def test_table1_small(capsys):
         "triangle-ddd", "triangle-ddc",
         "path-ddc", "path-dcc", "path-cdc", "path-ccc",
     }
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_table1_rejects_max_below_one(capsys, value):
+    code, out, err = _run(capsys, ["table1", "--max", value])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--max" in errors[0] and ">= 1" in errors[0]

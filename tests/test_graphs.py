@@ -9,6 +9,7 @@ from graphsolitons import (
     Graph,
     GroupTooLarge,
     IndexOutOfRange,
+    MAX_ALGEBRA_DIM,
     MalformedLine,
     NotAnAutomorphism,
     Permutation,
@@ -64,12 +65,30 @@ def test_parse_errors():
         parse_graph("3\n1 x\n")
     with pytest.raises(MalformedLine):
         parse_graph("0\n")
+    # str.isdigit accepts these, int() does not
+    with pytest.raises(MalformedLine):
+        parse_graph("\u00b2\n")
+    with pytest.raises(MalformedLine):
+        parse_graph("9" * 5000 + "\n")
     with pytest.raises(SelfLoop):
         parse_graph("3\n2 2\n")
     with pytest.raises(DuplicateEdge):
         parse_graph("3\n1 2\n2 1\n")
     with pytest.raises(IndexOutOfRange):
         parse_graph("3\n1 4\n")
+
+
+def test_parse_caps_algebra_dimension():
+    assert MAX_ALGEBRA_DIM == 100
+    assert parse_graph("100\n").p == 100
+    with pytest.raises(MalformedLine, match="101"):
+        parse_graph("101\n")
+    # p + q is checked once the edges are read: K13 fits, K14 does not
+    k13 = "13\n" + "".join(f"{i} {j}\n" for i in range(1, 14) for j in range(i + 1, 14))
+    assert parse_graph(k13).q == 78
+    k14 = "14\n" + "".join(f"{i} {j}\n" for i in range(1, 15) for j in range(i + 1, 15))
+    with pytest.raises(MalformedLine, match="105"):
+        parse_graph(k14)
 
 
 def test_graph_constructor_validates():

@@ -1,0 +1,56 @@
+"""Properties of the package as a whole: its sources and its dependencies."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import graphsolitons
+from conftest import PAW_TEXT
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(graphsolitons.__file__).resolve().parent
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so a correctness check must raise instead
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_pyproject_declares_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    graph = tmp_path / "paw.graph"
+    graph.write_text(PAW_TEXT)
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import graphsolitons\n"
+        "from graphsolitons.cli import main\n"
+        f"sys.exit(main(['analyze', {str(graph)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"soliton": true' in proc.stdout

@@ -1,5 +1,8 @@
+import warnings
+
 import pytest
 
+from graphsolitons import positivity
 from graphsolitons import (
     EmptyEdgeSet,
     FamilySpec,
@@ -80,6 +83,14 @@ def test_solve_weights_satisfies_full_system(connected_classes_p5):
                 if {i, j} & {a, b}:
                     total += w.c[l]
             assert total == w.nu
+
+
+def test_solve_weights_raises_when_full_check_fails(paw, monkeypatch):
+    monkeypatch.setattr(positivity, "_verify_full", lambda g, c, nu: False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"edges=\[\(2, 3\)"):
+            solve_weights(paw)
 
 
 def test_weights_invariant_under_automorphisms(connected_classes_p5):

@@ -378,6 +378,16 @@ def symmetric_derivation_dimension(
 
     Equals the sum of m(m+1)/2 over the coherent component sizes m.
     """
+    basis = symmetric_derivation_nullspace(L, cd)
+    return len(basis), [_unflatten(vec, L.n) for vec in basis]
+
+
+def symmetric_derivation_nullspace(
+    L: MetricLieAlgebra, cd: CoherentDecomposition
+) -> list[dict]:
+    """Sparse basis of the metric-symmetric derivations: each vector maps a
+    flat index ``i * n + j`` to the (i, j) entry.  Counting it needs no dense
+    n x n matrices."""
     p, _q = L.vertex_edge_split()
     if sorted(v for comp in cd.components for v in comp) != list(range(1, p + 1)):
         raise DimensionMismatch("decomposition does not cover the vertex set")
@@ -395,8 +405,7 @@ def symmetric_derivation_dimension(
             row = {k: v for k, v in row.items() if v != 0}
             if row:
                 rows.append(row)
-    basis = sparse_nullspace(rows, n * n)
-    return len(basis), [_unflatten(vec, n) for vec in basis]
+    return sparse_nullspace(rows, n * n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .algebra import (
     NotSoliton,
     check_soliton,
     graph_algebra,
-    symmetric_derivation_dimension,
+    symmetric_derivation_nullspace,
 )
 from .census import graph_classes
 from .errors import GraphSolitonsError, GroupTooLarge
@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
                 ],
                 "residual": fraction_str(cert.residual),
             }
-        report["sym_derivation_dim"] = symmetric_derivation_dimension(algebra, cd)[0]
+        report["sym_derivation_dim"] = len(symmetric_derivation_nullspace(algebra, cd))
     else:
         report["failing_edge_indices"] = list(decision.failure.failing_indices)
         report["unnormalized_weights"] = [fraction_str(x) for x in decision.failure.c]

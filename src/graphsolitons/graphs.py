@@ -91,6 +91,12 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edge_index
 
 
+def _excerpt(raw: str) -> str:
+    """The line as quoted in an error message, cut to 40 characters so that
+    a huge malformed line still gives a one-line error of bounded length."""
+    return repr(raw) if len(raw) <= 40 else repr(raw[:40]) + "..."
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain-text graph format.
 
@@ -113,7 +119,7 @@ def parse_graph(text: str) -> Graph:
             except ValueError:  # non-ASCII digits, or more than int() converts
                 p = None
             if p is None:
-                raise MalformedLine(f"line {lineno}: expected vertex count, got {raw!r}")
+                raise MalformedLine(f"line {lineno}: expected vertex count, got {_excerpt(raw)}")
             if p < 1:
                 raise MalformedLine(f"line {lineno}: vertex count must be >= 1")
             if p > MAX_ALGEBRA_DIM:
@@ -123,11 +129,11 @@ def parse_graph(text: str) -> Graph:
                 )
             continue
         if len(parts) != 2:
-            raise MalformedLine(f"line {lineno}: expected 'i j', got {raw!r}")
+            raise MalformedLine(f"line {lineno}: expected 'i j', got {_excerpt(raw)}")
         try:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
-            raise MalformedLine(f"line {lineno}: expected integers, got {raw!r}") from None
+            raise MalformedLine(f"line {lineno}: expected integers, got {_excerpt(raw)}") from None
         if i == j:
             raise SelfLoop(f"line {lineno}: self-loop at vertex {i}")
         if not (1 <= i <= p and 1 <= j <= p):
@@ -229,25 +235,26 @@ def coherent_components(g: Graph) -> CoherentDecomposition:
     Vertices i, j land in one component iff N(i)\\{j} = N(j)\\{i}; each
     component induces a complete or an edgeless subgraph, and two components
     are joined either completely or not at all.
+
+    Non-adjacent twins share their open neighbourhood N(v), adjacent twins
+    their closed one N[v]; hashing both finds the classes in O(p + q).  No
+    vertex has twins of both kinds: if N(i) = N(j) and N[i] = N[k], then k
+    is adjacent to j, so j lies in N[k] = N[i], yet j is not adjacent to i.
     """
-    parent = list(range(g.p + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    nbrs = g.neighbor_sets
-    for i in range(1, g.p + 1):
-        for j in range(i + 1, g.p + 1):
-            if nbrs[i - 1] - {j} == nbrs[j - 1] - {i}:
-                parent[find(i)] = find(j)
-
-    groups = {}
+    opened = g.neighbor_sets
+    closed = [nv | {v} for v, nv in enumerate(opened, start=1)]
+    false_twins = {}
+    true_twins = {}
     for v in range(1, g.p + 1):
-        groups.setdefault(find(v), []).append(v)
-    components = tuple(sorted((tuple(sorted(c)) for c in groups.values())))
+        false_twins.setdefault(opened[v - 1], []).append(v)
+        true_twins.setdefault(closed[v - 1], []).append(v)
+    components = set()
+    for v in range(1, g.p + 1):
+        group = false_twins[opened[v - 1]]
+        if len(group) == 1:
+            group = true_twins[closed[v - 1]]
+        components.add(tuple(group))
+    components = tuple(sorted(components))
 
     flags = []
     for comp in components:

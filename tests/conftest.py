@@ -1,5 +1,6 @@
 """Shared fixtures: small reference graphs and cached census classes."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -49,3 +50,21 @@ def connected_classes_p6():
 
 def F(num, den=1) -> Fraction:
     return Fraction(num, den)
+
+
+def blown_up_graph(rng, p):
+    """A random graph on p vertices with many twins: a random template on
+    k <= p blocks, each block complete or discrete, blocks joined at random,
+    vertex labels shuffled."""
+    k = rng.randint(1, p)
+    block = [rng.randrange(k) for _ in range(p)]
+    complete = [rng.random() < 0.5 for _ in range(k)]
+    joined = {(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.5}
+    labels = list(range(1, p + 1))
+    rng.shuffle(labels)
+    edges = []
+    for u, v in itertools.combinations(range(p), 2):
+        a, b = sorted((block[u], block[v]))
+        if (complete[a] if a == b else (a, b) in joined):
+            edges.append((labels[u], labels[v]))
+    return Graph(p=p, edges=tuple(edges))

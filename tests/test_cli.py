@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphsolitons import Graph, solve_weights
+from graphsolitons import Graph, algebra, solve_weights
 from graphsolitons.cli import main
 from conftest import PAW_TEXT
 
@@ -120,6 +120,33 @@ def test_analyze_rejects_oversized_vertex_count(tmp_path, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "100000" in errors[0]
+
+
+def test_analyze_counts_derivations_without_dense_basis(tmp_path, capsys, monkeypatch):
+    # the report needs only the dimension, so no basis vector may be
+    # unflattened into a dense n x n matrix
+    def refuse(vec, n):
+        raise AssertionError("dense basis matrix built")
+
+    monkeypatch.setattr(algebra, "_unflatten", refuse)
+    for p in (1, 4, 7):
+        path = _write(tmp_path, f"edgeless{p}.graph", f"{p}\n")
+        code, out, err = _run(capsys, ["analyze", path])
+        assert code == 0 and err == ""
+        assert json.loads(out)["sym_derivation_dim"] == p * (p + 1) // 2
+
+
+def test_analyze_long_malformed_line_gives_short_error(tmp_path, capsys):
+    for name, text in (
+        ("count.graph", "7" * 5000 + "\n"),
+        ("edge.graph", "3\n1 " + "2" * 5000 + " 3\n"),
+    ):
+        path = _write(tmp_path, name, text)
+        code, out, err = _run(capsys, ["analyze", path])
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert len(lines[0]) < 200
 
 
 # ---------------------------------------------------------------- solsoliton

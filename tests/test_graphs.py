@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import reference_graphs
 from graphsolitons import (
     DimensionMismatch,
     DuplicateEdge,
@@ -20,7 +22,7 @@ from graphsolitons import (
     line_graph,
     parse_graph,
 )
-from conftest import PAW_EDGES, PAW_TEXT
+from conftest import PAW_EDGES, PAW_TEXT, blown_up_graph
 
 
 def _random_graph(rng, p, density=0.5):
@@ -76,6 +78,19 @@ def test_parse_errors():
         parse_graph("3\n1 2\n2 1\n")
     with pytest.raises(IndexOutOfRange):
         parse_graph("3\n1 4\n")
+
+
+def test_parse_error_quotes_a_bounded_prefix_of_the_line():
+    with pytest.raises(MalformedLine) as info:
+        parse_graph("9" * 5000 + "\n")
+    assert len(str(info.value)) < 200
+    assert str(info.value).endswith("'" + "9" * 40 + "'...")
+    with pytest.raises(MalformedLine) as info:
+        parse_graph("3\n" + " ".join(["1"] * 3000) + "\n")
+    assert len(str(info.value)) < 200
+    # short lines are quoted whole
+    with pytest.raises(MalformedLine, match=r"got '3 x'$"):
+        parse_graph("3\n3 x\n")
 
 
 def test_parse_caps_algebra_dimension():
@@ -204,6 +219,42 @@ def test_coherent_decomposition_rebuild_roundtrip():
         assert sorted(zip(cd.sizes, cd.flags)) == sorted(zip(cd2.sizes, cd2.flags))
         assert len(cd.coherence_edges) == len(cd2.coherence_edges)
         assert rebuilt.q == g.q
+
+
+def test_coherent_components_match_reference_on_every_small_graph():
+    # every labelled graph with p <= 5: 1 + 2 + 8 + 64 + 1024
+    count = 0
+    for p in range(1, 6):
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(p=p, edges=tuple(e for b, e in enumerate(pairs) if mask >> b & 1))
+            assert coherent_components(g) == reference_graphs.coherent_components(g)
+            count += 1
+    assert count == 1099
+
+
+def test_coherent_components_match_reference_on_random_graphs():
+    rng = random.Random(4242)
+    graphs = [
+        Graph(p=1, edges=()),
+        Graph(p=2, edges=((1, 2),)),
+        Graph(p=12, edges=()),
+        Graph(p=12, edges=tuple(itertools.combinations(range(1, 13), 2))),
+        Graph(p=12, edges=((3, 9),)),
+    ]
+    while len(graphs) < 1000:
+        p = rng.randint(1, 12)
+        if len(graphs) % 2:
+            graphs.append(_random_graph(rng, p, density=rng.random()))
+        else:
+            graphs.append(blown_up_graph(rng, p))
+    twins = isolated = 0
+    for g in graphs:
+        cd = coherent_components(g)
+        assert cd == reference_graphs.coherent_components(g)
+        twins += any(len(c) > 1 for c in cd.components)
+        isolated += any(not nv for nv in g.neighbor_sets)
+    assert twins >= 500 and isolated >= 100
 
 
 # ---------------------------------------------------------------- automorphisms

@@ -1,8 +1,13 @@
+import itertools
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from graphsolitons import positivity
+from graphsolitons.positivity import NotPositive, Weighting
+from graphsolitons.rational import solve_unique
 from graphsolitons import (
     EmptyEdgeSet,
     FamilySpec,
@@ -17,12 +22,13 @@ from graphsolitons import (
     family_graph,
     graph_classes,
     induced_edge_permutation,
+    is_connected,
     is_positive,
     positivity_matrix,
     solve_weights,
     table1_criterion,
 )
-from conftest import F
+from conftest import F, blown_up_graph
 
 
 def test_positivity_matrix_paw(paw):
@@ -91,6 +97,79 @@ def test_solve_weights_raises_when_full_check_fails(paw, monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"edges=\[\(2, 3\)"):
             solve_weights(paw)
+
+
+def test_solve_weights_raises_on_singular_class_matrix(monkeypatch):
+    # a wrong edge classification whose class matrix [[3, 4], [3, 4]] has a
+    # zero second leading minor: Bareiss stops at that pivot
+    g = Graph(p=5, edges=((1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)))
+    wrong = ([0, 1, 1, 1, 1, 0, 0], 2)
+    monkeypatch.setattr(positivity, "edge_similarity_classes", lambda g: wrong)
+    with pytest.raises(RuntimeError, match="leading minor 0 at order 2"):
+        solve_weights(g)
+
+
+def test_solve_reduced_is_integer(paw):
+    num, den = positivity._solve_reduced(paw, *edge_similarity_classes(paw))
+    # paw at nu = 1: c = (1/8, 1/8, 1/4, 1/4); the denominator is the
+    # determinant of the 3 x 3 class matrix [[4, 1, 1], [2, 3, 0], [2, 0, 3]]
+    assert all(type(x) is int for x in num) and den == 24
+    assert [Fraction(x, den) for x in num] == [F(1, 8), F(1, 8), F(1, 4), F(1, 4)]
+
+
+def _full_fraction_solve(g):
+    """Independent oracle: solve the whole q x q system (3I + A) c = 1 in
+    Fractions, with no edge classes, and normalize as solve_weights does."""
+    x = solve_unique(positivity_matrix(g), [F(1)] * g.q)
+    failing = tuple(k + 1 for k, xk in enumerate(x) if xk <= 0)
+    if failing:
+        return NotPositive(c=tuple(x), failing_indices=failing)
+    s = sum(x)
+    return Weighting(nu=1 / s, c=tuple(xk / s for xk in x))
+
+
+def _assert_same_result(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Weighting):
+        assert got.nu == want.nu and got.c == want.c
+    else:
+        assert got.c == want.c and got.failing_indices == want.failing_indices
+    assert all(type(x) is Fraction for x in got.c)
+
+
+def test_solve_weights_matches_full_fraction_solve_on_random_graphs():
+    rng = random.Random(909)
+    kinds = {Weighting: 0, NotPositive: 0}
+    disconnected = 0
+    for _ in range(400):
+        p = rng.randint(2, 9)
+        if rng.random() < 0.5:
+            g = blown_up_graph(rng, p)
+        else:
+            density = rng.random()
+            g = Graph(p=p, edges=tuple(
+                e for e in itertools.combinations(range(1, p + 1), 2) if rng.random() < density
+            ))
+        if g.q == 0:
+            continue
+        want = _full_fraction_solve(g)
+        _assert_same_result(solve_weights(g), want)
+        kinds[type(want)] += 1
+        disconnected += not is_connected(g)
+    assert kinds[Weighting] >= 200 and kinds[NotPositive] >= 15
+    assert disconnected >= 50
+
+
+def test_solve_weights_matches_full_fraction_solve_on_family_graphs():
+    # every table1 family graph whose blocks have at most 4 vertices
+    checked = 0
+    for row in TABLE_ROWS:
+        ranges = [range(2, 5) if full else range(1, 5) for full in row.complete]
+        for sizes in itertools.product(*ranges):
+            g = family_graph(FamilySpec(row.complete, row.adjacency, sizes))
+            _assert_same_result(solve_weights(g), _full_fraction_solve(g))
+            checked += 1
+    assert checked == 290
 
 
 def test_weights_invariant_under_automorphisms(connected_classes_p5):

@@ -46,6 +46,7 @@ from .graphs import (
     CoherentDecomposition,
     Graph,
     Permutation,
+    automorphism_order,
     automorphisms,
     coherent_components,
     induced_edge_permutation,

@@ -97,6 +97,12 @@ class MetricLieAlgebra:
         return tuple(prod)
 
     @cached_property
+    def leibniz(self) -> tuple[dict[int, Fraction], ...]:
+        """The rows of :func:`leibniz_rows`, built once per algebra and
+        shared, so no caller may change them."""
+        return tuple(leibniz_rows(self))
+
+    @cached_property
     def ad_entries(self) -> tuple:
         """ad_entries[a] lists (k, j, val): (ad b_a)_{kj} = c^k_{aj} = val."""
         ads = [[] for _ in range(self.n)]
@@ -232,7 +238,8 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
     g_dense = [list(row) for row in L.gram]
     ginv_dense = inverse(g_dense)
     gs = _sparse_from_dense(g_dense)
-    ginv_rows = _rows_of(_sparse_from_dense(ginv_dense))
+    ginv_sparse = _sparse_from_dense(ginv_dense)
+    ginv_rows = _rows_of(ginv_sparse)
     ads = [{(k, j): v for k, j, v in L.ad_entries[a]} for a in range(n)]
     ad_rows = [_rows_of(ad) for ad in ads]
 
@@ -246,7 +253,8 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
                 vb = ws[b].get(key)
                 if vb is not None:
                     acc += va * vb
-            f[a][b] -= acc / 2
+            if acc != 0:
+                f[a][b] -= acc / 2
 
     # R^(a)_{ij} = <[b_i,b_j], b_a>;  F2(a,b) = -1/4 tr(G^-1 R^(a) G^-1 R^(b))
     r_forms = [dict() for _ in range(n)]
@@ -258,7 +266,7 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
                     x = val * gka
                     r_forms[a][(i, j)] = r_forms[a].get((i, j), ZERO) + x
                     r_forms[a][(j, i)] = r_forms[a].get((j, i), ZERO) - x
-    qs = [_sparse_mul(_sparse_from_dense(ginv_dense), _rows_of(r_forms[a])) for a in range(n)]
+    qs = [_sparse_mul(ginv_sparse, _rows_of(r_forms[a])) for a in range(n)]
     for a in range(n):
         for b in range(a, n):
             acc = ZERO
@@ -266,9 +274,10 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
                 vb = qs[b].get((j, i))
                 if vb is not None:
                     acc += va * vb
-            f[a][b] -= acc / 4
-            if b > a:
-                f[b][a] -= acc / 4
+            if acc != 0:
+                f[a][b] -= acc / 4
+                if b > a:
+                    f[b][a] -= acc / 4
 
     # Killing form
     for a in range(n):
@@ -283,8 +292,8 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
                 if b > a:
                     f[b][a] -= acc / 2
 
-    ric = [[sum((ginv_dense[i][k] * f[k][j] for k in range(n) if ginv_dense[i][k] != 0), ZERO)
-            for j in range(n)] for i in range(n)]
+    ric = [[sum((v * f[k][j] for k, v in ginv_rows.get(i, ())), ZERO) for j in range(n)]
+           for i in range(n)]
 
     # mean curvature: <H, b_a> = tr(ad b_a)
     traces = [sum((v for (k, j), v in ads[a].items() if k == j), ZERO) for a in range(n)]
@@ -297,8 +306,8 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
             for (k, j), v in ads[a].items():
                 ad_h[k][j] += h[a] * v
         # S(ad_H) = (ad_H + G^-1 ad_H^T G)/2
-        gah = [[sum((ginv_dense[i][s] * ad_h[j][s] for s in range(n) if ginv_dense[i][s] != 0), ZERO)
-                for j in range(n)] for i in range(n)]
+        gah = [[sum((v * ad_h[j][s] for s, v in ginv_rows.get(i, ())), ZERO) for j in range(n)]
+               for i in range(n)]
         adj = [[sum((gah[i][s] * g_dense[s][j] for s in range(n) if gah[i][s] != 0), ZERO)
                 for j in range(n)] for i in range(n)]
         for i in range(n):
@@ -348,12 +357,15 @@ def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
 
 
 def _eval_row(row: dict, m, n: int) -> Fraction:
-    return sum((v * m[key // n][key % n] for key, v in row.items()), ZERO)
+    """The Leibniz functional ``row`` at the dense matrix m; zero entries of
+    m, most of them for the diagonal Ricci operators of graph algebras, are
+    skipped."""
+    return sum((v * x for key, v in row.items() if (x := m[key // n][key % n])), ZERO)
 
 
 def derivation_space(L: MetricLieAlgebra) -> list[list[list[Fraction]]]:
     """A basis of the derivation algebra, as dense matrices."""
-    basis = sparse_nullspace(leibniz_rows(L), L.n * L.n)
+    basis = sparse_nullspace(L.leibniz, L.n * L.n)
     return [_unflatten(vec, L.n) for vec in basis]
 
 
@@ -367,7 +379,7 @@ def _unflatten(vec: dict, n: int) -> list[list[Fraction]]:
 def is_derivation(L: MetricLieAlgebra, a) -> bool:
     if len(a) != L.n or any(len(row) != L.n for row in a):
         raise DimensionMismatch("matrix size does not match the algebra")
-    return all(_eval_row(row, a, L.n) == 0 for row in leibniz_rows(L))
+    return all(_eval_row(row, a, L.n) == 0 for row in L.leibniz)
 
 
 def symmetric_derivation_dimension(
@@ -392,16 +404,16 @@ def symmetric_derivation_nullspace(
     if sorted(v for comp in cd.components for v in comp) != list(range(1, p + 1)):
         raise DimensionMismatch("decomposition does not cover the vertex set")
     n = L.n
-    rows = leibniz_rows(L)
+    rows = list(L.leibniz)
+    gram_rows = [[(u, x) for u, x in enumerate(row) if x != 0] for row in L.gram]
     # symmetry: (G A)_{ij} = (A^T G)_{ij} for i < j
     for i in range(n):
         for j in range(i + 1, n):
             row = {}
-            for u in range(n):
-                if L.gram[i][u] != 0:
-                    row[u * n + j] = row.get(u * n + j, ZERO) + L.gram[i][u]
-                if L.gram[j][u] != 0:
-                    row[u * n + i] = row.get(u * n + i, ZERO) - L.gram[j][u]
+            for u, x in gram_rows[i]:
+                row[u * n + j] = row.get(u * n + j, ZERO) + x
+            for u, x in gram_rows[j]:
+                row[u * n + i] = row.get(u * n + i, ZERO) - x
             row = {k: v for k, v in row.items() if v != 0}
             if row:
                 rows.append(row)
@@ -438,7 +450,7 @@ def check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
     """
     n = L.n
     ric = ricci(L)
-    rows = leibniz_rows(L)
+    rows = L.leibniz
     ric_vals = [_eval_row(row, ric, n) for row in rows]
     eye = identity(n)
     id_vals = [_eval_row(row, eye, n) for row in rows]

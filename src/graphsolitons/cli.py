@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .census import graph_classes
 from .errors import GraphSolitonsError, GroupTooLarge
-from .graphs import Graph, automorphisms, coherent_components, parse_graph
+from .graphs import Graph, automorphism_order, coherent_components, parse_graph
 from .positivity import (
     TABLE_ROWS,
     FamilySpec,
@@ -39,6 +39,11 @@ from .subspaces import (
     parse_subspace,
     subspace_equivalent,
 )
+
+
+# ``analyze`` reports ``aut_order`` up to this vertex count, the limit that
+# ``automorphisms`` puts on listing the group, and null above it.
+ANALYZE_AUT_MAX_P = 12
 
 
 def _positive_int(text: str) -> int:
@@ -73,10 +78,6 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     decision = is_positive(g)
     cd = coherent_components(g)
-    try:
-        aut_order = len(automorphisms(g))
-    except GroupTooLarge:
-        aut_order = None
     report = {
         "p": g.p,
         "q": g.q,
@@ -86,7 +87,7 @@ def cmd_analyze(args) -> int:
         "components": [list(c) for c in cd.components],
         "component_flags": list(cd.flags),
         "coherence_edges": [[a + 1, b + 1] for a, b in cd.coherence_edges],
-        "aut_order": aut_order,
+        "aut_order": automorphism_order(g) if g.p <= ANALYZE_AUT_MAX_P else None,
     }
     if decision.weighting is not None:
         w = decision.weighting
@@ -206,7 +207,7 @@ def _census_record(g: Graph) -> dict:
         "q": g.q,
         "positive": decision.positive,
         "components": [list(c) for c in cd.components],
-        "aut_order": len(automorphisms(g)),
+        "aut_order": automorphism_order(g),
     }
     if decision.weighting is not None:
         record["weights"] = [fraction_str(x) for x in decision.weighting.c]

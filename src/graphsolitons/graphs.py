@@ -27,8 +27,8 @@ COMPLETE = "complete"
 DISCRETE = "discrete"
 
 # Largest algebra dimension p + q that ``parse_graph`` accepts.  The soliton
-# pipeline works with dense n x n matrices and n(n+1)/2 symmetric basis
-# matrices, so memory grows like n^4; K13 (p + q = 91) fits.
+# pipeline works with dense n x n matrices and sparse Leibniz systems in n^2
+# unknowns; K13 (p + q = 91) fits.
 MAX_ALGEBRA_DIM = 100
 
 
@@ -272,47 +272,106 @@ def coherent_components(g: Graph) -> CoherentDecomposition:
     )
 
 
+class _AutomorphismSearch:
+    """Backtracking over the automorphisms of a graph, one vertex at a time.
+
+    Vertex v may map to w when w is unused, has v's invariant (degree plus
+    sorted neighbour degrees), and keeps adjacency to the already mapped
+    vertices 1..v-1: among the used images, w's neighbours must be exactly
+    the images of v's earlier neighbours.  :func:`automorphisms` walks the
+    whole tree; :func:`automorphism_order` roots one search at each node
+    "identity on 1..v-1, v -> w" and stops at its first leaf.
+    """
+
+    def __init__(self, g: Graph):
+        self.p = g.p
+        nbrs = g.neighbor_sets
+        degs = [len(s) for s in nbrs]
+        invariant = [(degs[v], tuple(sorted(degs[w - 1] for w in nbrs[v]))) for v in range(g.p)]
+        classes = {}
+        for v, key in enumerate(invariant, start=1):
+            classes.setdefault(key, []).append(v)
+        # 1-based: alike[v] lists the vertices with v's invariant, ascending;
+        # adj[v] is the neighbour bitmask (bit w for neighbour w).
+        self.alike = [()] + [classes[key] for key in invariant]
+        self.adj = [0] + [sum(1 << w for w in nbrs[v]) for v in range(g.p)]
+        self.earlier = [()] + [tuple(u for u in nbrs[v - 1] if u < v) for v in range(1, g.p + 1)]
+
+    def leaves(self, image: list, used: int, v: int, only: int | None = None):
+        """Every automorphism extending ``image[1..v-1]``, whose images form
+        the bitmask ``used``, as image tuples in lexicographic order.  With
+        ``only``, v may map to that vertex alone."""
+        if v > self.p:
+            yield tuple(image[1:])
+            return
+        mapped = 0
+        for u in self.earlier[v]:
+            mapped |= 1 << image[u]
+        for w in self.alike[v]:
+            bit = 1 << w
+            if used & bit or (self.adj[w] & used) != mapped or (only is not None and w != only):
+                continue
+            image[v] = w
+            yield from self.leaves(image, used | bit, v + 1)
+
+    def first_leaf(self, v: int, w: int) -> tuple[int, ...] | None:
+        """An automorphism fixing 1..v-1 and sending v to w, or None."""
+        image = list(range(self.p + 1))
+        return next(self.leaves(image, (1 << v) - 2, v, only=w), None)
+
+
 def automorphisms(g: Graph, max_vertices: int = 12) -> list[Permutation]:
     """The full automorphism group, identity first, sorted by image tuple.
 
     Plain backtracking with degree/neighborhood pruning; refuses graphs with
     more than ``max_vertices`` vertices since the list itself can be
-    factorially large.
+    factorially large.  To count the group, use :func:`automorphism_order`.
     """
     if g.p > max_vertices:
         raise GroupTooLarge(f"refusing to enumerate Aut for p={g.p} > {max_vertices}")
-    nbrs = g.neighbor_sets
-    # cheap vertex invariant: degree plus sorted neighbor degrees
-    degs = [len(nbrs[v]) for v in range(g.p)]
-    invariant = [
-        (degs[v], tuple(sorted(degs[w - 1] for w in nbrs[v]))) for v in range(g.p)
-    ]
+    search = _AutomorphismSearch(g)
+    return [Permutation(t) for t in search.leaves([0] * (g.p + 1), 0, 1)]
+
+
+def automorphism_order(g: Graph) -> int:
+    """|Aut g|, counted along a stabilizer chain without listing the group.
+
+    |Aut g| is the product over v = p, ..., 1 of the size of v's orbit under
+    the pointwise stabilizer of 1..v-1.  Every automorphism found so far
+    fixes 1..v-1, so the orbit of v under them is part of that orbit; each
+    other w > v is tested by one search from "identity on 1..v-1, v -> w"
+    that stops at its first leaf.  These searches root at distinct nodes of
+    the tree :func:`automorphisms` walks, so the count never visits more
+    nodes than the listing does.
+    """
+    search = _AutomorphismSearch(g)
     found = []
-    image = [0] * (g.p + 1)
-    used = [False] * (g.p + 1)
-
-    def extend(v):
-        if v > g.p:
-            found.append(tuple(image[1:]))
-            return
-        for w in range(1, g.p + 1):
-            if used[w] or invariant[w - 1] != invariant[v - 1]:
+    order = 1
+    for v in range(g.p, 0, -1):
+        orbit = {v}
+        for w in range(v + 1, g.p + 1):
+            if w in orbit:
                 continue
-            ok = True
-            for u in range(1, v):
-                if (u in nbrs[v - 1]) != (image[u] in nbrs[w - 1]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-        image[v] = 0
+            sigma = search.first_leaf(v, w)
+            if sigma is not None:
+                found.append(sigma)
+                orbit = _orbit(v, found)
+        order *= len(orbit)
+    return order
 
-    extend(1)
-    found.sort()
-    return [Permutation(t) for t in found]
+
+def _orbit(v: int, images: list) -> set:
+    """The orbit of v under the group generated by the given image tuples."""
+    orbit = {v}
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for t in images:
+            x = t[u - 1]
+            if x not in orbit:
+                orbit.add(x)
+                frontier.append(x)
+    return orbit
 
 
 def induced_edge_permutation(g: Graph, sigma: Permutation) -> Permutation:

@@ -8,6 +8,7 @@ floats enter or leave.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from fractions import Fraction
 
@@ -156,10 +157,20 @@ def char_poly(a) -> list[Fraction]:
 def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     """Nullspace basis of a sparse homogeneous system.
 
-    ``rows`` is an iterable of ``{column: coefficient}`` dicts.  Returns one
-    sparse vector per free column, ordered by free column index; each has a 1
-    in its free column.  Deterministic: pivot rows are chosen by (size, id),
-    pivot columns by (column fill, column).
+    ``rows`` is an iterable of ``{column: coefficient}`` dicts; they are
+    copied, never changed.  Returns one sparse vector per free column,
+    ordered by free column index; each has a 1 in its free column.
+    Deterministic: pivot rows are chosen by (size, id), pivot columns by
+    (column fill, column).
+
+    The pivot row comes from a heap of ``(size, id)`` entries with lazy
+    deletion: an entry is pushed whenever elimination gives a row a new
+    size, and a popped entry is skipped unless its row is still unreduced
+    and still has that size.  Every unreduced row keeps an entry with its
+    current size, so the first entry that survives is the least (size, id)
+    over the unreduced rows, the row a full scan would pick.  ``col_rows``
+    and ``pivot_rows`` index the unreduced and the pivot rows by column, so
+    each pivot touches only the rows that contain its column.
     """
     work: dict[int, dict[int, Fraction]] = {}
     for idx, row in enumerate(rows):
@@ -170,13 +181,18 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     for rid, row in work.items():
         for c in row:
             col_rows[c].add(rid)
+    heap = [(len(row), rid) for rid, row in work.items()]
+    heapq.heapify(heap)
 
     pivots: dict[int, dict[int, Fraction]] = {}
-    active = set(work)
-    while active:
-        rid = min(active, key=lambda i: (len(work[i]), i))
-        active.discard(rid)
-        row = work.pop(rid)
+    # pivot_rows[c]: the pivot columns whose row has a nonzero in column c
+    pivot_rows: dict[int, set[int]] = defaultdict(set)
+    while heap:
+        size, rid = heapq.heappop(heap)
+        row = work.get(rid)
+        if row is None or len(row) != size:
+            continue
+        del work[rid]
         for c in row:
             col_rows[c].discard(rid)
         pcol = min(row, key=lambda c: (len(col_rows[c]), c))
@@ -186,6 +202,7 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
 
         for other in list(col_rows.get(pcol, ())):
             orow = work[other]
+            size = len(orow)
             f = orow.pop(pcol)
             col_rows[pcol].discard(other)
             for c, v in row.items():
@@ -201,33 +218,36 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
                         col_rows[c].add(other)
                     orow[c] = nv
             if not orow:
-                active.discard(other)
                 del work[other]
+            elif len(orow) != size:
+                heapq.heappush(heap, (len(orow), other))
 
-        for prow in pivots.values():
-            if pcol in prow:
-                f = prow.pop(pcol)
-                for c, v in row.items():
-                    if c == pcol:
-                        continue
-                    nv = prow.get(c, ZERO) - f * v
-                    if nv == 0:
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = nv
+        for qcol in pivot_rows.pop(pcol, ()):
+            prow = pivots[qcol]
+            f = prow.pop(pcol)
+            for c, v in row.items():
+                if c == pcol:
+                    continue
+                nv = prow.get(c, ZERO) - f * v
+                if nv == 0:
+                    del prow[c]
+                    pivot_rows[c].discard(qcol)
+                else:
+                    if c not in prow:
+                        pivot_rows[c].add(qcol)
+                    prow[c] = nv
         pivots[pcol] = row
+        for c in row:
+            if c != pcol:
+                pivot_rows[c].add(pcol)
 
-    basis = []
-    for free_col in range(ncols):
-        if free_col in pivots:
-            continue
-        vec = {free_col: ONE}
-        for pcol, prow in pivots.items():
-            coef = prow.get(free_col)
-            if coef:
-                vec[pcol] = -coef
-        basis.append(vec)
-    return basis
+    basis = {c: {c: ONE} for c in range(ncols) if c not in pivots}
+    for pcol, prow in pivots.items():
+        for c, v in prow.items():
+            vec = basis.get(c)
+            if vec is not None:
+                vec[pcol] = -v
+    return list(basis.values())
 
 
 def sparse_dot(a: dict, b: dict) -> Fraction:

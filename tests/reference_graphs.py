@@ -1,15 +1,25 @@
-"""Reference twin classes: the pairwise union-find ``coherent_components``.
+"""Reference graph searches, kept only as oracles.
 
-It compares the neighbourhoods of every vertex pair, O(p^2) set operations,
-and is kept only as an oracle for ``graphsolitons.graphs.coherent_components``,
-which hashes open and closed neighbourhoods instead.
+``coherent_components`` is the pairwise union-find version: it compares the
+neighbourhoods of every vertex pair, O(p^2) set operations, where
+``graphsolitons.graphs.coherent_components`` hashes open and closed
+neighbourhoods.  ``automorphisms`` is the plain backtracker that listed the
+group before ``graphsolitons.graphs`` shared one search between
+``automorphisms`` and ``automorphism_order``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from graphsolitons.graphs import COMPLETE, DISCRETE, CoherentDecomposition, Graph
+from graphsolitons.errors import GroupTooLarge
+from graphsolitons.graphs import (
+    COMPLETE,
+    DISCRETE,
+    CoherentDecomposition,
+    Graph,
+    Permutation,
+)
 
 
 def coherent_components(g: Graph) -> CoherentDecomposition:
@@ -52,3 +62,46 @@ def coherent_components(g: Graph) -> CoherentDecomposition:
     return CoherentDecomposition(
         components=components, flags=tuple(flags), coherence_edges=tuple(joins)
     )
+
+
+def automorphisms(g: Graph, max_vertices: int = 12) -> list[Permutation]:
+    """The full automorphism group, identity first, sorted by image tuple.
+
+    Plain backtracking with degree/neighborhood pruning; refuses graphs with
+    more than ``max_vertices`` vertices since the list itself can be
+    factorially large.
+    """
+    if g.p > max_vertices:
+        raise GroupTooLarge(f"refusing to enumerate Aut for p={g.p} > {max_vertices}")
+    nbrs = g.neighbor_sets
+    # cheap vertex invariant: degree plus sorted neighbor degrees
+    degs = [len(nbrs[v]) for v in range(g.p)]
+    invariant = [
+        (degs[v], tuple(sorted(degs[w - 1] for w in nbrs[v]))) for v in range(g.p)
+    ]
+    found = []
+    image = [0] * (g.p + 1)
+    used = [False] * (g.p + 1)
+
+    def extend(v):
+        if v > g.p:
+            found.append(tuple(image[1:]))
+            return
+        for w in range(1, g.p + 1):
+            if used[w] or invariant[w - 1] != invariant[v - 1]:
+                continue
+            ok = True
+            for u in range(1, v):
+                if (u in nbrs[v - 1]) != (image[u] in nbrs[w - 1]):
+                    ok = False
+                    break
+            if ok:
+                image[v] = w
+                used[w] = True
+                extend(v + 1)
+                used[w] = False
+        image[v] = 0
+
+    extend(1)
+    found.sort()
+    return [Permutation(t) for t in found]

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from graphsolitons import Graph, algebra, solve_weights
+from graphsolitons import Graph, algebra, automorphisms, cli, graphs, solve_weights
 from graphsolitons.cli import main
 from conftest import PAW_TEXT
 
@@ -134,6 +137,77 @@ def test_analyze_counts_derivations_without_dense_basis(tmp_path, capsys, monkey
         code, out, err = _run(capsys, ["analyze", path])
         assert code == 0 and err == ""
         assert json.loads(out)["sym_derivation_dim"] == p * (p + 1) // 2
+
+
+def test_analyze_builds_leibniz_system_once(tmp_path, capsys, monkeypatch):
+    # the soliton check and the symmetric derivations share one system
+    built = []
+    original = algebra.leibniz_rows
+
+    def counting(L):
+        built.append(L.n)
+        return original(L)
+
+    monkeypatch.setattr(algebra, "leibniz_rows", counting)
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, "paw.graph", PAW_TEXT)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["sym_derivation_dim"] == 5 and built == [8]
+
+
+def test_aut_order_is_counted_without_listing_the_group(tmp_path, capsys, monkeypatch):
+    out_path = str(tmp_path / "census.jsonl")
+    argvs = [
+        ["analyze", _write(tmp_path, "paw.graph", PAW_TEXT)],
+        ["analyze", _write(tmp_path, "nonpos.graph", NONPOS_TEXT)],
+        ["census", "--max-p", "5", "-o", out_path],
+    ]
+    expected = [_run(capsys, argv) for argv in argvs]
+    with open(out_path, encoding="utf-8") as fh:
+        records = fh.read()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("automorphism group listed")
+
+    monkeypatch.setattr(graphs, "automorphisms", refuse)
+    monkeypatch.setattr(cli, "automorphisms", refuse, raising=False)
+    assert [_run(capsys, argv) for argv in argvs] == expected
+    with open(out_path, encoding="utf-8") as fh:
+        assert fh.read() == records
+    monkeypatch.undo()
+
+    assert [code for code, _out, _err in expected] == [0, 1, 0]
+    assert json.loads(expected[0][1])["aut_order"] == 2
+    assert json.loads(expected[1][1])["aut_order"] == 12
+    lines = records.splitlines()
+    assert len(lines) == 1 + 1 + 2 + 6 + 21
+    for line in lines:
+        record = json.loads(line)
+        g = Graph(p=record["p"], edges=tuple(tuple(e) for e in record["canonical_edges"]))
+        assert record["aut_order"] == len(automorphisms(g))
+
+
+def _complete_graph_text(n):
+    return f"{n}\n" + "".join(f"{i} {j}\n" for i, j in itertools.combinations(range(1, n + 1), 2))
+
+
+def test_analyze_k12_counts_aut_order(tmp_path, capsys):
+    path = _write(tmp_path, "k12.graph", _complete_graph_text(12))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["analyze", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["aut_order"] == math.factorial(12) == 479001600
+    assert report["sym_derivation_dim"] == 12 * 13 // 2
+    assert elapsed < 30.0
+
+
+def test_analyze_k13_reports_no_aut_order(tmp_path, capsys):
+    path = _write(tmp_path, "k13.graph", _complete_graph_text(13))
+    code, out, err = _run(capsys, ["analyze", path])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["aut_order"] is None and report["sym_derivation_dim"] == 13 * 14 // 2
 
 
 def test_analyze_long_malformed_line_gives_short_error(tmp_path, capsys):

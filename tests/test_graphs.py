@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from graphsolitons import (
     NotAnAutomorphism,
     Permutation,
     SelfLoop,
+    automorphism_order,
     automorphisms,
     coherent_components,
     induced_edge_permutation,
@@ -310,6 +312,68 @@ def test_automorphisms_permute_components():
 def test_automorphisms_too_large():
     with pytest.raises(GroupTooLarge):
         automorphisms(Graph(p=13, edges=()), max_vertices=12)
+
+
+def _every_small_graph():
+    """Every labelled graph with p <= 5: 1 + 2 + 8 + 64 + 1024."""
+    for p in range(1, 6):
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(p=p, edges=tuple(e for b, e in enumerate(pairs) if mask >> b & 1))
+
+
+def _seeded_graphs():
+    """Random graphs with p = 6..9 and twin-rich blown-up graphs with p <= 8."""
+    rng = random.Random(2718)
+    graphs = [_random_graph(rng, rng.randint(6, 9), rng.uniform(0.15, 0.85)) for _ in range(200)]
+    graphs += [blown_up_graph(rng, rng.randint(2, 8)) for _ in range(200)]
+    return graphs
+
+
+def test_automorphisms_match_reference_on_every_small_graph():
+    count = 0
+    for g in _every_small_graph():
+        want = reference_graphs.automorphisms(g)
+        assert automorphisms(g) == want
+        assert automorphism_order(g) == len(want)
+        count += 1
+    assert count == 1099
+
+
+def test_automorphisms_match_reference_on_random_graphs():
+    graphs = _seeded_graphs()
+    for g in graphs:
+        want = reference_graphs.automorphisms(g)
+        assert automorphisms(g) == want
+        assert automorphism_order(g) == len(want)
+    # the blown-up graphs have large groups: twins swap freely
+    assert max(automorphism_order(g) for g in graphs) >= 5040
+
+
+def _cycle(n):
+    return Graph(p=n, edges=tuple((i, i % n + 1) for i in range(1, n + 1)))
+
+
+def _complete_bipartite(m, n):
+    return Graph(p=m + n, edges=tuple((i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)))
+
+
+def test_automorphism_order_published_values():
+    for n in range(1, 13):
+        complete = Graph(p=n, edges=tuple(itertools.combinations(range(1, n + 1), 2)))
+        assert automorphism_order(complete) == math.factorial(n)
+    for n in range(3, 13):
+        assert automorphism_order(_cycle(n)) == 2 * n
+    for m in range(1, 6):
+        for n in range(1, 6):
+            want = math.factorial(m) * math.factorial(n) * (2 if m == n else 1)
+            assert automorphism_order(_complete_bipartite(m, n)) == want
+    # Petersen graph: outer 5-cycle, inner pentagram, spokes; |Aut| = |S5|
+    petersen = [(i, i % 5 + 1) for i in range(1, 6)]
+    petersen += [(5 + i, 5 + (i + 1) % 5 + 1) for i in range(1, 6)]
+    petersen += [(i, i + 5) for i in range(1, 6)]
+    assert automorphism_order(Graph(p=10, edges=tuple(petersen))) == 120
+    assert automorphism_order(Graph(p=12, edges=())) == math.factorial(12)
 
 
 # ---------------------------------------------------------------- edge action

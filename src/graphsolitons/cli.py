@@ -33,11 +33,13 @@ from .positivity import (
 from .rational import fraction_str
 from .subspaces import (
     SubspaceParam,
+    _integer_rows,
+    _least,
+    _orbit,
     build_solsoliton,
     canonical_subspace,
     einstein_direction,
     parse_subspace,
-    subspace_equivalent,
 )
 
 
@@ -185,17 +187,23 @@ def cmd_classify(args) -> int:
     g = _load_graph(args.graph)
     s1 = _load_subspace(args.subspace_a, g.p)
     s2 = _load_subspace(args.subspace_b, g.p)
-    result = subspace_equivalent(g, s1, s2)
+    # One walk over s1's orbit gives the verdict, the witness (keys of
+    # different ranks never match) and s1's canonical form; s2's orbit is
+    # walked only when it is another orbit.
+    orbit = _orbit(g, s1)
+    witness = orbit.get(_integer_rows(s2))
+    canonical_a = _least(g.p, orbit)
+    canonical_b = canonical_a if witness is not None else _least(g.p, _orbit(g, s2))
     report = {
         "r_a": s1.r,
         "r_b": s2.r,
-        "equivalent": result.equivalent,
-        "witness": list(result.witness.images) if result.witness else None,
-        "canonical_a": _basis_json(canonical_subspace(g, s1)),
-        "canonical_b": _basis_json(canonical_subspace(g, s2)),
+        "equivalent": witness is not None,
+        "witness": list(witness.images) if witness is not None else None,
+        "canonical_a": _basis_json(canonical_a),
+        "canonical_b": _basis_json(canonical_b),
     }
     _print_json(report)
-    return 0 if result.equivalent else 1
+    return 0 if witness is not None else 1
 
 
 def _census_record(g: Graph) -> dict:

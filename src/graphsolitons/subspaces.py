@@ -14,6 +14,7 @@ v_i``), so classification is a finite orbit problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +48,12 @@ class SubspaceParam:
             raise DimensionMismatch("ambient dimension must be >= 1")
         if any(len(row) != self.p for row in self.basis):
             raise DimensionMismatch("basis vector length differs from p")
-        if not self.basis:
+        if not self.basis or _is_reduced_echelon(self.basis):
             return
-        reduced, pivots = rref([list(row) for row in self.basis])
+        _, pivots = rref([list(row) for row in self.basis])
         if len(pivots) < len(self.basis):
             raise RankDeficientBasis("basis rows are linearly dependent")
-        if tuple(tuple(row) for row in reduced) != self.basis:
-            raise ValueError("basis is not in reduced row echelon form; use from_vectors")
+        raise ValueError("basis is not in reduced row echelon form; use from_vectors")
 
     @property
     def r(self) -> int:
@@ -70,6 +70,25 @@ class SubspaceParam:
         reduced, pivots = rref(vecs)
         basis = tuple(tuple(row) for row in reduced[: len(pivots)])
         return cls(p=p, basis=basis)
+
+
+def _is_reduced_echelon(basis) -> bool:
+    """Whether the rows, a tuple of tuples, are a reduced row echelon basis:
+    each row's first nonzero entry is 1, these leading columns strictly
+    increase, and each leading column is zero in every other row.  Such rows
+    are independent and are their own RREF, so this accepts exactly the
+    bases that equal their ``rref`` at full rank."""
+    if not isinstance(basis, tuple) or not all(isinstance(row, tuple) for row in basis):
+        return False
+    last = -1
+    for k, row in enumerate(basis):
+        lead = next((c for c, x in enumerate(row) if x != 0), None)
+        if lead is None or lead <= last or row[lead] != 1:
+            return False
+        if any(other[lead] != 0 for i, other in enumerate(basis) if i != k):
+            return False
+        last = lead
+    return True
 
 
 def parse_subspace(text: str, p: int) -> list[list[Fraction]]:
@@ -202,10 +221,8 @@ def subspace_equivalent(g: Graph, s1: SubspaceParam, s2: SubspaceParam) -> Equiv
         raise DimensionMismatch("subspace ambient dimension differs from the graph")
     if s1.r != s2.r:
         return EquivalenceResult(equivalent=False)
-    for sigma in automorphisms(g):
-        if apply_vertex_permutation(s1, sigma).basis == s2.basis:
-            return EquivalenceResult(equivalent=True, witness=sigma)
-    return EquivalenceResult(equivalent=False)
+    witness = _orbit(g, s1).get(_integer_rows(s2))
+    return EquivalenceResult(equivalent=witness is not None, witness=witness)
 
 
 def canonical_subspace(g: Graph, s: SubspaceParam) -> SubspaceParam:
@@ -214,9 +231,87 @@ def canonical_subspace(g: Graph, s: SubspaceParam) -> SubspaceParam:
     are equivalent iff their canonical forms are equal."""
     if s.p != g.p:
         raise DimensionMismatch("subspace ambient dimension differs from the graph")
-    best = None
+    return _least(s.p, _orbit(g, s))
+
+
+# The orbit walk.  A subspace is keyed by its RREF rows, each scaled to a
+# primitive integer row (positive leading entry); equal keys mean equal spans.
+
+
+def _integer_rows(s: SubspaceParam) -> tuple[tuple[int, ...], ...]:
+    """The key of ``s``: its RREF rows as primitive integer rows."""
+    rows = []
+    for row in s.basis:
+        row = [frac(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        gcd = math.gcd(*ints)
+        rows.append(tuple(x // gcd for x in ints))
+    return tuple(rows)
+
+
+def _reduced_key(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The key of the span of independent integer rows (changed in place):
+    fraction-free Gauss-Jordan elimination, each updated row divided by the
+    gcd of its entries, then every row's sign made that of a positive
+    leading entry.  The rows end as positive multiples of the RREF rows."""
+    r = len(rows)
+    done = 0
+    for c in range(len(rows[0]) if rows else 0):
+        if done == r:
+            break
+        pr = next((i for i in range(done, r) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[done], rows[pr] = rows[pr], rows[done]
+        pivot = rows[done]
+        a = pivot[c]
+        for i in range(r):
+            b = rows[i][c]
+            if b and i != done:
+                new = [a * x - b * y for x, y in zip(rows[i], pivot)]
+                gcd = math.gcd(*new)
+                rows[i] = [x // gcd for x in new]
+        done += 1
+    return tuple(tuple(row) if _lead(row) > 0 else tuple(-x for x in row) for row in rows)
+
+
+def _orbit(g: Graph, s: SubspaceParam) -> dict:
+    """The orbit of ``s`` under Aut(g), from one pass over
+    :func:`automorphisms` in image order: maps each image's key to the first
+    automorphism that pushes ``s`` onto it."""
+    base = _integer_rows(s)
+    orbit = {}
     for sigma in automorphisms(g):
-        cand = apply_vertex_permutation(s, sigma).basis
-        if best is None or cand < best:
-            best = cand
-    return SubspaceParam(p=s.p, basis=best)
+        # (sigma . v)_{sigma(i)} = v_i, so entry j of the image is v at sigma^-1(j).
+        source = sorted(range(s.p), key=sigma.images.__getitem__)
+        orbit.setdefault(_reduced_key([[row[i] for i in source] for row in base]), sigma)
+    return orbit
+
+
+def _least(p: int, orbit: dict) -> SubspaceParam:
+    """The subspace whose RREF basis is the lexicographically smallest
+    (row-major) among the orbit's keys.  Row ``k`` of a key is its RREF row
+    times the row's leading entry, so entries compare by cross-multiplying
+    with the (positive) leading entries; Fractions are built only for the
+    result."""
+    best = None
+    for key in orbit:
+        if best is None or _precedes(key, best):
+            best = key
+    basis = tuple(tuple(Fraction(x, _lead(row)) for x in row) for row in best)
+    return SubspaceParam(p=p, basis=basis)
+
+
+def _lead(row) -> int:
+    return next(x for x in row if x)
+
+
+def _precedes(a, b) -> bool:
+    """Whether key ``a``'s RREF basis is lexicographically below ``b``'s."""
+    for ra, rb in zip(a, b):
+        la, lb = _lead(ra), _lead(rb)
+        for x, y in zip(ra, rb):
+            if x * lb != y * la:
+                return x * lb < y * la
+    return False

@@ -2,14 +2,25 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from graphsolitons import Graph, algebra, automorphisms, cli, graphs, solve_weights
+from graphsolitons import (
+    Graph,
+    SubspaceParam,
+    algebra,
+    automorphisms,
+    cli,
+    graphs,
+    solve_weights,
+    subspaces,
+)
 from graphsolitons.cli import main
 from conftest import PAW_TEXT
+import reference_graphs
 
 NONPOS_TEXT = "5\n1 4\n1 5\n2 4\n2 5\n3 4\n3 5\n4 5\n"
 
@@ -307,6 +318,137 @@ def test_classify_inequivalent(tmp_path, capsys):
     report = json.loads(out)
     assert report["equivalent"] is False and report["witness"] is None
     assert report["canonical_a"] != report["canonical_b"]
+
+
+def _counting_automorphisms(monkeypatch):
+    """Patch the automorphism listing the subspace walk uses; return its call count."""
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return automorphisms(g, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "automorphisms", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, walks",
+    [
+        (["solsoliton", "{g}", "--subspace", "{e1}"], 1),
+        (["solsoliton", "{g}", "--einstein"], 1),
+        (["classify", "{g}", "{e1}", "{e2}"], 1),  # equivalent
+        (["classify", "{g}", "{zero}", "{zero}"], 1),  # equivalent, rank 0
+        (["classify", "{g}", "{e3}", "{e4}"], 2),  # inequivalent
+        (["classify", "{g}", "{e1}", "{plane}"], 2),  # rank mismatch
+    ],
+)
+def test_subspace_commands_list_aut_once_per_orbit(tmp_path, capsys, monkeypatch, command, walks):
+    paths = {
+        "g": _write(tmp_path, "paw.graph", PAW_TEXT),
+        "e1": _write(tmp_path, "e1.vec", "1 0 0 0\n"),
+        "e2": _write(tmp_path, "e2.vec", "0 1 0 0\n"),
+        "e3": _write(tmp_path, "e3.vec", "0 0 1 0\n"),
+        "e4": _write(tmp_path, "e4.vec", "0 0 0 1\n"),
+        "plane": _write(tmp_path, "plane.vec", "1 0 0 0\n0 1 0 0\n"),
+        "zero": _write(tmp_path, "zero.vec", "0 0 0 0\n"),
+    }
+    calls = _counting_automorphisms(monkeypatch)
+    code, _, _ = _run(capsys, [arg.format(**paths) for arg in command])
+    assert code in (0, 1)
+    assert len(calls) == walks
+
+
+# The nine graphs of the extensions benchmark workload.
+EXTENSION_GRAPHS = (
+    (4, ((2, 3), (1, 3), (1, 2), (3, 4))),  # paw
+    (4, ((1, 2), (2, 3), (3, 4), (1, 4))),  # C4
+    (4, tuple(itertools.combinations(range(1, 5), 2))),  # K4
+    (5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),  # C5
+    (5, tuple((i, j) for i in (1, 2) for j in (3, 4, 5))),  # K2,3
+    (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))),  # C6
+    (6, tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6))),  # K3,3
+    (5, tuple(itertools.combinations(range(1, 6), 2))),  # K5
+    (6, tuple(itertools.combinations(range(1, 7), 2))),  # K6
+)
+
+
+def _vectors_text(vectors):
+    return "".join(" ".join(str(x) for x in v) + "\n" for v in vectors)
+
+
+def _extension_argvs(tmp_path):
+    """Seeded solsoliton and classify calls: each extension graph, randomly
+    relabelled, with a random subspace s of rank 1-3 and another basis of
+    sigma.s for a random automorphism sigma; then one inequivalent pair, one
+    rank mismatch and an all-zero (rank-0) vector file."""
+    rng = random.Random(6)
+    argvs = []
+    for n, (p, edges) in enumerate(EXTENSION_GRAPHS):
+        for r in (1, 2, 3):
+            labels = list(range(1, p + 1))
+            rng.shuffle(labels)
+            g = Graph(p=p, edges=tuple((labels[i - 1], labels[j - 1]) for i, j in edges))
+            while True:
+                s = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(r)]
+                if SubspaceParam.from_vectors(p, s).r == r:
+                    break
+            sigma = rng.choice(reference_graphs.automorphisms(g))
+            t = [[0] * p for _ in range(r)]
+            for row, moved in zip(s, t):
+                for i, x in enumerate(row, start=1):
+                    moved[sigma(i) - 1] = x
+            for i in range(r):
+                for j in range(i + 1, r):
+                    f = rng.randint(-2, 2)
+                    t[i] = [a + f * b for a, b in zip(t[i], t[j])]
+            text = f"{p}\n" + "".join(f"{i} {j}\n" for i, j in g.edges)
+            gpath = _write(tmp_path, f"g{n}_{r}.graph", text)
+            spath = _write(tmp_path, f"s{n}_{r}.vec", _vectors_text(s))
+            tpath = _write(tmp_path, f"t{n}_{r}.vec", _vectors_text(t))
+            argvs += [["solsoliton", gpath, "--subspace", spath], ["classify", gpath, spath, tpath]]
+    c6 = _write(tmp_path, "c6.graph", "6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+    a = _write(tmp_path, "a.vec", "1 2 0 0 -1 0\n0 0 1 1 0 3\n")
+    b = _write(tmp_path, "b.vec", "3 0 0 1 0 0\n0 1 0 0 0 1\n")
+    line = _write(tmp_path, "line.vec", "1 -1 2 0 0 0\n")
+    zero = _write(tmp_path, "zero.vec", "0 0 0 0 0 0\n0 0 0 0 0 0\n")
+    argvs += [
+        ["classify", c6, a, b],
+        ["classify", c6, a, line],
+        ["solsoliton", c6, "--subspace", zero],
+        ["classify", c6, zero, zero],
+        ["classify", c6, zero, line],
+    ]
+    return argvs
+
+
+def test_solsoliton_and_classify_golden(tmp_path, capsys):
+    # sha256 of every exit code and stdout, as written by the earlier walk
+    # that pushed the basis forward and re-reduced it in Fractions.
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _extension_argvs(tmp_path):
+        code, out, _ = _run(capsys, argv)
+        codes.append(code)
+        digest.update(f"{code}\n{out}".encode())
+    assert codes.count(1) == 3 and codes.count(2) == 0
+    assert digest.hexdigest() == (
+        "c91289ea395f3fd0c4ae7cb3696744f52e660d7869684801a3eecad13b7958c0"
+    )
+
+
+def test_classify_refuses_more_than_twelve_vertices(tmp_path, capsys):
+    path13 = _write(tmp_path, "p13.graph", "13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 13)))
+    first = _write(tmp_path, "first.vec", " ".join(["1"] + ["0"] * 12) + "\n")
+    last = _write(tmp_path, "last.vec", " ".join(["0"] * 12 + ["1"]) + "\n")
+    code, out, err = _run(capsys, ["classify", path13, first, last])
+    assert code == 2 and out == ""
+    assert err == "error: refusing to enumerate Aut for p=13 > 12\n"
+    # solsoliton reports the extension and leaves the canonical form out
+    code, out, err = _run(capsys, ["solsoliton", path13, "--subspace", first])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["soliton"] is True and report["canonical_subspace"] is None
 
 
 # ---------------------------------------------------------------- census

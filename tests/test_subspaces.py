@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from graphsolitons import (
 )
 from graphsolitons.rational import char_poly
 from conftest import F
+import reference_subspaces
 
 
 def _random_subspace(rng, p, r):
@@ -300,3 +302,110 @@ def test_non_einstein_lines_have_nonzero_derivation(paw):
         D = cert.derivation_matrix()
         assert any(D[a][a] != 0 for a in range(len(D)))
         found += 1
+
+
+# ---------------------------------------------------------------- the RREF check
+
+def _verdict(check, *args):
+    """The exact exception type a check raises, or None."""
+    try:
+        check(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "basis, expected",
+    [
+        (((F(0), F(0), F(0)),), RankDeficientBasis),  # a zero row
+        (((F(1), F(0), F(0)), (F(0), F(0), F(0))), RankDeficientBasis),  # trailing zero row
+        (((F(1), F(2), F(0)), (F(2), F(4), F(0))), RankDeficientBasis),  # dependent, not RREF
+        (((F(1), F(0), F(1)), (F(1), F(0), F(1))), RankDeficientBasis),  # repeated RREF row
+        (((F(1), F(1), F(0)), (F(0), F(1), F(1))), ValueError),  # full rank, not RREF
+        (((F(0), F(1), F(0)), (F(1), F(0), F(0))), ValueError),  # pivots out of order
+        (((F(2), F(0), F(0)),), ValueError),  # pivot 2
+        (((F(1), F(0), F(0)), (F(0), F(-1), F(0))), ValueError),  # pivot -1
+        (((F(1), F(3), F(0)), (F(0), F(1), F(0))), ValueError),  # nonzero above a pivot
+        (((F(1), F(0), F(0)), (F(1), F(1), F(0))), ValueError),  # nonzero below a pivot
+        (([F(1), F(0), F(0)],), ValueError),  # RREF values in a list row
+        (((F(1), F(0), F(2)), (F(0), F(1), F(-1, 2))), None),
+        (((0, 1, 0), (0, 0, 1)), None),  # ints equal to their Fractions
+    ],
+)
+def test_subspace_param_check_raises_as_before(basis, expected):
+    assert _verdict(SubspaceParam, 3, basis) is expected
+    assert _verdict(reference_subspaces.check_reduced_basis, basis) is expected
+
+
+def test_subspace_param_check_matches_reference_on_random_bases():
+    rng = random.Random(41)
+    values = [F(0)] * 4 + [F(1)] * 3 + [F(-1), F(2), F(1, 2)]
+    accepted = 0
+    for _ in range(3000):
+        p = rng.randint(1, 4)
+        r = rng.randint(1, p + 1)
+        if rng.random() < 0.4:
+            # an RREF basis, then perhaps one entry changed
+            basis = [list(row) for row in _random_subspace(rng, p, min(r, p)).basis]
+            if rng.random() < 0.5:
+                basis[rng.randrange(len(basis))][rng.randrange(p)] = rng.choice(values)
+        else:
+            basis = [[rng.choice(values) for _ in range(p)] for _ in range(r)]
+        basis = tuple(tuple(row) for row in basis)
+        want = _verdict(reference_subspaces.check_reduced_basis, basis)
+        assert _verdict(SubspaceParam, p, basis) is want, basis
+        accepted += want is None
+    assert accepted > 500
+
+
+# ---------------------------------------------------------------- orbit walk oracle
+
+def _oracle_graphs():
+    k6 = Graph(p=6, edges=tuple(itertools.combinations(range(1, 7), 2)))
+    k33 = Graph(p=6, edges=tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6)))
+    c6 = Graph(p=6, edges=tuple((i, i % 6 + 1) for i in range(1, 7)))
+    return list(graph_classes(5)) + [k6, k33, c6]
+
+
+def _oracle_subspaces(rng, g):
+    """Seeded subspaces of every rank 0..p: random ones with small entries,
+    coordinate subspaces, and the Einstein direction when there is one."""
+    subs = []
+    for r in range(g.p + 1):
+        subs.append(_random_subspace(rng, g.p, r) if r else SubspaceParam(p=g.p, basis=()))
+        coords = sorted(rng.sample(range(g.p), r))
+        subs.append(
+            SubspaceParam.from_vectors(g.p, [[int(i == k) for i in range(g.p)] for k in coords])
+        )
+        # a sparse integer subspace, which many automorphisms fix
+        subs.append(
+            SubspaceParam.from_vectors(
+                g.p, [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(g.p)] for _ in range(r)]
+            )
+        )
+    dec = is_positive(g)
+    if dec.positive and dec.weighting is not None:
+        subs.append(SubspaceParam.from_vectors(g.p, [einstein_direction(g, dec.weighting)]))
+    return subs
+
+
+def test_orbit_walk_matches_reference():
+    rng = random.Random(53)
+    compared = {"equivalent": 0, "inequivalent": 0, "rank mismatch": 0}
+    for g in _oracle_graphs():
+        auts = automorphisms(g)
+        subs = _oracle_subspaces(rng, g)
+        for s in subs:
+            assert canonical_subspace(g, s) == reference_subspaces.canonical_subspace(g, s)
+            moved = reference_subspaces.apply_vertex_permutation(s, rng.choice(auts))
+            same_rank = rng.choice([t for t in subs if t.r == s.r])
+            other_rank = rng.choice([t for t in subs if t.r != s.r])
+            for t in (s, moved, same_rank, other_rank):
+                got = subspace_equivalent(g, s, t)
+                assert got == reference_subspaces.subspace_equivalent(g, s, t)
+                if s.r != t.r:
+                    compared["rank mismatch"] += 1
+                else:
+                    compared["equivalent" if got.equivalent else "inequivalent"] += 1
+    assert min(compared.values()) > 200, compared

@@ -21,7 +21,7 @@ from .algebra import (
     ricci,
     symmetric_derivation_dimension,
 )
-from .census import canonical_form, graph_classes, is_connected
+from .census import canonical_form, graph_classes, graph_classes_with_aut_order, is_connected
 from .errors import (
     DegenerateGram,
     DimensionMismatch,
@@ -73,6 +73,7 @@ from .subspaces import (
     apply_vertex_permutation,
     build_solsoliton,
     canonical_subspace,
+    classify_subspaces,
     diagonal_derivation,
     einstein_direction,
     parse_subspace,

@@ -20,7 +20,7 @@ from .algebra import (
     graph_algebra,
     symmetric_derivation_nullspace,
 )
-from .census import graph_classes
+from .census import graph_classes_with_aut_order
 from .errors import GraphSolitonsError, GroupTooLarge
 from .graphs import Graph, automorphism_order, coherent_components, parse_graph
 from .positivity import (
@@ -33,18 +33,17 @@ from .positivity import (
 from .rational import fraction_str
 from .subspaces import (
     SubspaceParam,
-    _integer_rows,
-    _least,
-    _orbit,
     build_solsoliton,
     canonical_subspace,
+    classify_subspaces,
     einstein_direction,
     parse_subspace,
 )
 
 
-# ``analyze`` reports ``aut_order`` up to this vertex count, the limit that
-# ``automorphisms`` puts on listing the group, and null above it.
+# ``analyze`` reports ``aut_order`` up to this vertex count and null above
+# it.  Counting is cheap at any size; the cap only keeps the output as it
+# was when the count came from listing the group, refused above 12 vertices.
 ANALYZE_AUT_MAX_P = 12
 
 
@@ -187,26 +186,20 @@ def cmd_classify(args) -> int:
     g = _load_graph(args.graph)
     s1 = _load_subspace(args.subspace_a, g.p)
     s2 = _load_subspace(args.subspace_b, g.p)
-    # One walk over s1's orbit gives the verdict, the witness (keys of
-    # different ranks never match) and s1's canonical form; s2's orbit is
-    # walked only when it is another orbit.
-    orbit = _orbit(g, s1)
-    witness = orbit.get(_integer_rows(s2))
-    canonical_a = _least(g.p, orbit)
-    canonical_b = canonical_a if witness is not None else _least(g.p, _orbit(g, s2))
+    verdict, canonical_a, canonical_b = classify_subspaces(g, s1, s2)
     report = {
         "r_a": s1.r,
         "r_b": s2.r,
-        "equivalent": witness is not None,
-        "witness": list(witness.images) if witness is not None else None,
+        "equivalent": verdict.equivalent,
+        "witness": list(verdict.witness.images) if verdict.equivalent else None,
         "canonical_a": _basis_json(canonical_a),
         "canonical_b": _basis_json(canonical_b),
     }
     _print_json(report)
-    return 0 if witness is not None else 1
+    return 0 if verdict.equivalent else 1
 
 
-def _census_record(g: Graph) -> dict:
+def _census_record(g: Graph, aut_order: int) -> dict:
     decision = is_positive(g)
     cd = coherent_components(g)
     record = {
@@ -215,7 +208,7 @@ def _census_record(g: Graph) -> dict:
         "q": g.q,
         "positive": decision.positive,
         "components": [list(c) for c in cd.components],
-        "aut_order": automorphism_order(g),
+        "aut_order": aut_order,
     }
     if decision.weighting is not None:
         record["weights"] = [fraction_str(x) for x in decision.weighting.c]
@@ -224,12 +217,12 @@ def _census_record(g: Graph) -> dict:
 
 
 def cmd_census(args) -> int:
-    classes = graph_classes(args.max_p, connected_only=not args.all)
+    classes, orders = zip(*graph_classes_with_aut_order(args.max_p, connected_only=not args.all))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_census_record, classes, chunksize=8))
+            records = list(pool.map(_census_record, classes, orders, chunksize=8))
     else:
-        records = [_census_record(g) for g in classes]
+        records = list(map(_census_record, classes, orders))
     with open(args.output, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -4,11 +4,15 @@ Vertices are 1-based (``1..p``).  Edges keep the order in which they were
 given — downstream weight vectors are indexed by that order, so it is part of
 the data and is never re-sorted.  Each edge is stored with its endpoints
 ascending.
+
+The canonical-labelling search ``_search`` is the package's only graph
+search; the automorphisms it finds count and list Aut.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,12 +226,6 @@ class CoherentDecomposition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
 
-    def component_of(self, v: int) -> int:
-        for b, comp in enumerate(self.components):
-            if v in comp:
-                return b
-        raise IndexOutOfRange(f"vertex {v} not in any component")
-
 
 def coherent_components(g: Graph) -> CoherentDecomposition:
     """Coarsest partition into twin classes.
@@ -272,106 +270,203 @@ def coherent_components(g: Graph) -> CoherentDecomposition:
     )
 
 
-class _AutomorphismSearch:
-    """Backtracking over the automorphisms of a graph, one vertex at a time.
+def _twin_swaps(p: int, adj: list) -> list:
+    """Transpositions of twin vertices, as image lists.
 
-    Vertex v may map to w when w is unused, has v's invariant (degree plus
-    sorted neighbour degrees), and keeps adjacency to the already mapped
-    vertices 1..v-1: among the used images, w's neighbours must be exactly
-    the images of v's earlier neighbours.  :func:`automorphisms` walks the
-    whole tree; :func:`automorphism_order` roots one search at each node
-    "identity on 1..v-1, v -> w" and stops at its first leaf.
+    Open twins share their open neighbourhood, closed twins their closed
+    one; a vertex has twins of at most one kind, and swapping two twins
+    fixes every other vertex and every edge.  Consecutive members of each
+    twin class are swapped, which generates every permutation of the class.
     """
+    classes = {}
+    for v in range(p):
+        classes.setdefault((adj[v], 0), []).append(v)
+        classes.setdefault((adj[v] | 1 << v, 1), []).append(v)
+    swaps = []
+    for members in classes.values():
+        for u, v in zip(members, members[1:]):
+            perm = list(range(p))
+            perm[u], perm[v] = v, u
+            swaps.append(perm)
+    return swaps
 
-    def __init__(self, g: Graph):
-        self.p = g.p
-        nbrs = g.neighbor_sets
-        degs = [len(s) for s in nbrs]
-        invariant = [(degs[v], tuple(sorted(degs[w - 1] for w in nbrs[v]))) for v in range(g.p)]
-        classes = {}
-        for v, key in enumerate(invariant, start=1):
-            classes.setdefault(key, []).append(v)
-        # 1-based: alike[v] lists the vertices with v's invariant, ascending;
-        # adj[v] is the neighbour bitmask (bit w for neighbour w).
-        self.alike = [()] + [classes[key] for key in invariant]
-        self.adj = [0] + [sum(1 << w for w in nbrs[v]) for v in range(g.p)]
-        self.earlier = [()] + [tuple(u for u in nbrs[v - 1] if u < v) for v in range(1, g.p + 1)]
 
-    def leaves(self, image: list, used: int, v: int, only: int | None = None):
-        """Every automorphism extending ``image[1..v-1]``, whose images form
-        the bitmask ``used``, as image tuples in lexicographic order.  With
-        ``only``, v may map to that vertex alone."""
-        if v > self.p:
-            yield tuple(image[1:])
-            return
-        mapped = 0
-        for u in self.earlier[v]:
-            mapped |= 1 << image[u]
-        for w in self.alike[v]:
-            bit = 1 << w
-            if used & bit or (self.adj[w] & used) != mapped or (only is not None and w != only):
+def _search(g: Graph):
+    """The canonical-labelling search: least column sequence of ``g``, and
+    a strong generating set of Aut g.
+
+    Placing vertex m+1 appends column m+1, the m bits of its adjacency to
+    the vertices already placed, compared as an m-bit integer.  Returns
+    ``(columns, order, automorphisms)``, all 0-based: ``order[k]`` is the
+    vertex placed at position k by a minimizing ordering, and the
+    automorphisms are image lists.  The search places vertices one at a time
+    and keeps the minimum exactly, because it only skips subtrees that
+    cannot hold a smaller sequence:
+
+    * Only the candidates with the least column are explored.  Every
+      candidate at a node shares the same prefix, and any completion of a
+      least-column candidate beats every completion of a larger one.
+    * A node whose column already exceeds the best leaf's column at that
+      level (the prefixes being equal) is abandoned.
+    * A candidate is skipped when an automorphism fixing the placed vertices
+      maps an already tried candidate onto it: the automorphism carries the
+      tried subtree onto the skipped one leaf by leaf, with equal sequences.
+      The automorphisms used are the transpositions of twins and those the
+      search finds itself: whenever a leaf ties the best leaf, mapping the
+      best ordering onto the current one is an automorphism.  It fixes the
+      prefix the two orderings share, so the rest of the current subtree
+      below that prefix mirrors one already searched and is abandoned too.
+
+    The automorphisms are a strong generating set along the base ``order``:
+    those fixing ``order[:m]`` move ``order[m]`` onto its whole orbit under
+    the stabilizer of ``order[:m]``.  That orbit is the set of children of
+    the node ``order[:m]`` that lead to a least leaf, as the least orderings
+    are the images of ``order``.  Children tried before ``order[m]`` lead to
+    none, or the search would have met a least leaf there first; each later
+    one is reached from a tried child by a found automorphism fixing the
+    prefix, or searched until its first least leaf, where the automorphism
+    found sends ``order[m]`` onto it.
+    """
+    p = g.p
+    adj = [0] * p
+    for i, j in g.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    gens = _twin_swaps(p, adj)
+    # fixed[i]: bitmask of the vertices gens[i] fixes
+    fixed = [sum(1 << v for v in range(p) if s[v] == v) for s in gens]
+    cols = [0] * p
+    order = [0] * p
+    best = None
+    best_order = None
+
+    def orbit(mask: int, placed: int) -> int:
+        """Closure of the vertex set ``mask`` under the known automorphisms
+        that fix every vertex in ``placed``."""
+        active = [s for s, f in zip(gens, fixed) if not placed & ~f]
+        closure = frontier = mask
+        while frontier:
+            reached = 0
+            for s in active:
+                x = frontier
+                while x:
+                    low = x & -x
+                    reached |= 1 << s[low.bit_length() - 1]
+                    x ^= low
+            frontier = reached & ~closure
+            closure |= reached
+        return closure
+
+    def node(m: int, free: list, col: list, least: int, placed: int, below: bool) -> int:
+        """Search below the m placed vertices ``order[:m]``.
+
+        ``col[i]`` is the column of the unplaced vertex ``free[i]`` and
+        ``least`` the least of them.  ``below`` says the prefix is already
+        less than the best leaf's (or there is no best leaf yet); otherwise
+        it equals it and ``least`` does not exceed the best leaf's column.
+        Returns the depth to unwind to, ``p`` to carry on normally.
+        """
+        nonlocal best, best_order
+        if m == p:
+            if below:
+                best = cols[:]
+                best_order = order[:]
+                return p
+            gamma = [0] * p
+            for u, v in zip(best_order, order):
+                gamma[u] = v
+            gens.append(gamma)
+            fixed.append(sum(1 << v for v in range(p) if gamma[v] == v))
+            d = 0
+            while best_order[d] == order[d]:
+                d += 1
+            return d
+        if not below:
+            below = least < best[m]
+        cols[m] = least
+        tried = closure = 0
+        known = -1  # number of generators ``closure`` was computed with
+        for v, c in zip(free, col):
+            if c != least:
                 continue
-            image[v] = w
-            yield from self.leaves(image, used | bit, v + 1)
+            if tried:
+                if known != len(gens):
+                    closure = orbit(closure | tried, placed)
+                    known = len(gens)
+                if closure >> v & 1:
+                    continue
+            tried |= 1 << v
+            known = -1
+            row = adj[v]
+            rest = [w for w in free if w != v]
+            child = [x << 1 | (row >> w & 1) for w, x in zip(free, col) if w != v]
+            low = min(child, default=0)
+            if not below and child and low > best[m + 1]:
+                continue
+            order[m] = v
+            depth = node(m + 1, rest, child, low, placed | 1 << v, below)
+            if depth < m:
+                return depth
+            # The best leaf now runs through this node.
+            below = False
+        return p
 
-    def first_leaf(self, v: int, w: int) -> tuple[int, ...] | None:
-        """An automorphism fixing 1..v-1 and sending v to w, or None."""
-        image = list(range(self.p + 1))
-        return next(self.leaves(image, (1 << v) - 2, v, only=w), None)
+    node(0, list(range(p)), [0] * p, 0, 0, True)
+    return best, best_order, gens
+
+
+def _stabilizer_chain(base, gens) -> list[dict]:
+    """Transversals along ``base``, a full ordering of the 0-based vertices.
+
+    Level m maps each point w of the orbit of ``base[m]``, under the
+    generators (image lists) that fix ``base[:m]`` pointwise, to a product
+    of those generators that sends ``base[m]`` to w.  For a strong
+    generating set along ``base``, such as :func:`_search` returns, the
+    group's order is the product of the level sizes, and each element is
+    one product ``t_0 t_1 ... t_(p-1)`` with ``t_m`` from level m.
+    """
+    identity = list(range(len(base)))
+    active = list(gens)
+    chain = []
+    for b in base:
+        level = {b: identity}
+        frontier = [b]
+        while frontier:
+            u = frontier.pop()
+            t = level[u]
+            for s in active:
+                x = s[u]
+                if x not in level:
+                    level[x] = [s[y] for y in t]
+                    frontier.append(x)
+        chain.append(level)
+        active = [s for s in active if s[b] == b]
+    return chain
 
 
 def automorphisms(g: Graph, max_vertices: int = 12) -> list[Permutation]:
     """The full automorphism group, identity first, sorted by image tuple.
 
-    Plain backtracking with degree/neighborhood pruning; refuses graphs with
-    more than ``max_vertices`` vertices since the list itself can be
-    factorially large.  To count the group, use :func:`automorphism_order`.
+    Multiplies out the stabilizer chain of the canonical search's
+    automorphisms; refuses graphs with more than ``max_vertices`` vertices
+    since the list itself can be factorially large.  To count the group,
+    use :func:`automorphism_order`.
     """
     if g.p > max_vertices:
         raise GroupTooLarge(f"refusing to enumerate Aut for p={g.p} > {max_vertices}")
-    search = _AutomorphismSearch(g)
-    return [Permutation(t) for t in search.leaves([0] * (g.p + 1), 0, 1)]
+    _, order, gens = _search(g)
+    elements = [range(g.p)]
+    for level in reversed(_stabilizer_chain(order, gens)):
+        if len(level) > 1:
+            elements = [[t[x] for x in e] for t in level.values() for e in elements]
+    return [Permutation(t) for t in sorted(tuple(x + 1 for x in e) for e in elements)]
 
 
 def automorphism_order(g: Graph) -> int:
-    """|Aut g|, counted along a stabilizer chain without listing the group.
-
-    |Aut g| is the product over v = p, ..., 1 of the size of v's orbit under
-    the pointwise stabilizer of 1..v-1.  Every automorphism found so far
-    fixes 1..v-1, so the orbit of v under them is part of that orbit; each
-    other w > v is tested by one search from "identity on 1..v-1, v -> w"
-    that stops at its first leaf.  These searches root at distinct nodes of
-    the tree :func:`automorphisms` walks, so the count never visits more
-    nodes than the listing does.
-    """
-    search = _AutomorphismSearch(g)
-    found = []
-    order = 1
-    for v in range(g.p, 0, -1):
-        orbit = {v}
-        for w in range(v + 1, g.p + 1):
-            if w in orbit:
-                continue
-            sigma = search.first_leaf(v, w)
-            if sigma is not None:
-                found.append(sigma)
-                orbit = _orbit(v, found)
-        order *= len(orbit)
-    return order
-
-
-def _orbit(v: int, images: list) -> set:
-    """The orbit of v under the group generated by the given image tuples."""
-    orbit = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for t in images:
-            x = t[u - 1]
-            if x not in orbit:
-                orbit.add(x)
-                frontier.append(x)
-    return orbit
+    """|Aut g|, the product of the orbit sizes along the stabilizer chain
+    of the canonical search's automorphisms, without listing the group."""
+    _, order, gens = _search(g)
+    return math.prod(len(level) for level in _stabilizer_chain(order, gens))
 
 
 def induced_edge_permutation(g: Graph, sigma: Permutation) -> Permutation:

@@ -32,7 +32,12 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """``-2/3``, ``0.5`` and the like.  Exponents raise ``ValueError``:
+    ``Fraction("1e1000000000")`` would build a billion-digit power of ten."""
+    text = text.strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent in {text!r}")
+    return Fraction(text)
 
 
 def identity(n: int) -> list[list[Fraction]]:

@@ -225,6 +225,22 @@ def subspace_equivalent(g: Graph, s1: SubspaceParam, s2: SubspaceParam) -> Equiv
     return EquivalenceResult(equivalent=witness is not None, witness=witness)
 
 
+def classify_subspaces(
+    g: Graph, s1: SubspaceParam, s2: SubspaceParam
+) -> tuple[EquivalenceResult, SubspaceParam, SubspaceParam]:
+    """:func:`subspace_equivalent` and both :func:`canonical_subspace` forms
+    from one or two orbit walks.  One walk over s1's orbit gives the verdict,
+    the witness (keys of different ranks never match) and s1's canonical
+    form; s2's orbit is walked only when it is another orbit."""
+    if s1.p != g.p or s2.p != g.p:
+        raise DimensionMismatch("subspace ambient dimension differs from the graph")
+    orbit = _orbit(g, s1)
+    witness = orbit.get(_integer_rows(s2))
+    canonical_a = _least(g.p, orbit)
+    canonical_b = canonical_a if witness is not None else _least(g.p, _orbit(g, s2))
+    return EquivalenceResult(witness is not None, witness), canonical_a, canonical_b
+
+
 def canonical_subspace(g: Graph, s: SubspaceParam) -> SubspaceParam:
     """Orbit representative: the lexicographically smallest (row-major) RREF
     basis over the automorphism orbit.  Constant on orbits, so two subspaces

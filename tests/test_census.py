@@ -3,10 +3,13 @@ import random
 from collections import Counter
 
 import reference_census
+import reference_graphs
+from conftest import blown_up_graph
 from graphsolitons import (
     Graph,
     canonical_form,
     graph_classes,
+    graph_classes_with_aut_order,
     is_connected,
     is_positive,
 )
@@ -150,3 +153,50 @@ def test_class_counts_match_oeis():
     assert [connected[p] for p in range(1, 8)] == A001349
     everything = Counter(g.p for g in graph_classes(7, connected_only=False))
     assert [everything[p] for p in range(1, 8)] == A000088
+
+
+def _order_along_1_to_p(p, generators):
+    """The product over m = 1..p of the orbit size of m under the generators
+    that fix 1..m-1: the group order when they are a strong generating set
+    along 1..p, and less when they are not."""
+    order = 1
+    for m in range(1, p + 1):
+        active = [s for s in generators if all(s(v) == v for v in range(1, m))]
+        orbit = {m}
+        frontier = [m]
+        while frontier:
+            u = frontier.pop()
+            for s in active:
+                if s(u) not in orbit:
+                    orbit.add(s(u))
+                    frontier.append(s(u))
+        order *= len(orbit)
+    return order
+
+
+def _check_generators_are_strong(g):
+    generators = []
+    canonical_form(g, generators=generators)
+    assert _order_along_1_to_p(g.p, generators) == len(reference_graphs.automorphisms(g))
+
+
+def test_canonical_generators_are_strong_on_every_class_up_to_seven_vertices():
+    pairs = graph_classes_with_aut_order(7, connected_only=False)
+    assert Counter(g.p for g, _ in pairs) == dict(enumerate(A000088, start=1))
+    for g, order in pairs:
+        assert order == len(reference_graphs.automorphisms(g))
+        _check_generators_are_strong(g)
+
+
+def test_canonical_generators_are_strong_on_seeded_graphs():
+    rng = random.Random(8)
+    for p in range(8, 12):
+        pairs = list(itertools.combinations(range(1, p + 1), 2))
+        for _ in range(40):
+            density = rng.uniform(0.1, 0.9)
+            _check_generators_are_strong(
+                Graph(p=p, edges=tuple(e for e in pairs if rng.random() < density))
+            )
+    # twin-rich graphs, whose groups are large
+    for _ in range(40):
+        _check_generators_are_strong(blown_up_graph(rng, rng.randint(2, 8)))

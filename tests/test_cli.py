@@ -13,6 +13,7 @@ from graphsolitons import (
     SubspaceParam,
     algebra,
     automorphisms,
+    census,
     cli,
     graphs,
     solve_weights,
@@ -451,6 +452,17 @@ def test_classify_refuses_more_than_twelve_vertices(tmp_path, capsys):
     assert report["soliton"] is True and report["canonical_subspace"] is None
 
 
+def test_subspace_file_refuses_exponent_entries_at_once(tmp_path, capsys):
+    # Fraction("1e1000000000") would build a power of ten with 10^9 digits
+    gpath = _write(tmp_path, "paw.graph", PAW_TEXT)
+    vec = _write(tmp_path, "huge.vec", "1e1000000000 1 0 0\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["solsoliton", gpath, "--subspace", vec])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: line 1: bad entry '1e1000000000'\n"
+
+
 # ---------------------------------------------------------------- census
 
 def test_census_small(tmp_path, capsys):
@@ -550,3 +562,25 @@ def test_table1_rejects_max_below_one(capsys, value):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--max" in errors[0] and ">= 1" in errors[0]
+
+
+def test_census_searches_each_graph_once(tmp_path, capsys, monkeypatch):
+    # aut_order is read off the generators of the canonical search, so the
+    # census runs no search besides the one inside each canonical_form call
+    searches, forms = [], []
+    search, form = graphs._search, census.canonical_form
+
+    def counting_search(g):
+        searches.append(g)
+        return search(g)
+
+    def counting_form(g, **kwargs):
+        forms.append(g)
+        return form(g, **kwargs)
+
+    monkeypatch.setattr(graphs, "_search", counting_search)
+    monkeypatch.setattr(census, "_search", counting_search)
+    monkeypatch.setattr(census, "canonical_form", counting_form)
+    code, out, _ = _run(capsys, ["census", "--max-p", "5", "-o", str(tmp_path / "c.jsonl")])
+    assert code == 0 and json.loads(out)["classes"] == 31
+    assert forms and len(searches) == len(forms)

@@ -411,3 +411,68 @@ def test_induced_action_is_homomorphism():
                 lhs = induced_edge_permutation(g, a.compose(b))
                 rhs = induced_edge_permutation(g, a).compose(induced_edge_permutation(g, b))
                 assert lhs.images == rhs.images
+
+
+def _cycle_edges(n, offset=0):
+    return [(offset + i, offset + i % n + 1) for i in range(1, n + 1)]
+
+
+def _random_cubic_graph(rng, p):
+    """A random 3-regular simple graph on p (even) vertices."""
+    while True:
+        stubs = [v for v in range(1, p + 1) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[k : k + 2])) for k in range(0, len(stubs), 2)}
+        if len(pairs) == 3 * p // 2 and all(a != b for a, b in pairs):
+            return Graph(p=p, edges=tuple(sorted(pairs)))
+
+
+def _twelve_vertex_graphs():
+    """Symmetric graphs on 12 vertices, with |Aut| from the literature."""
+    icosahedron = []  # apex 1, upper ring 2-6, lower ring 7-11, apex 12
+    for i in range(5):
+        a, b, c, d = 2 + i, 2 + (i + 1) % 5, 7 + i, 7 + (i + 1) % 5
+        icosahedron += [(1, a), (a, b), (a, c), (b, c), (c, d), (c, 12)]
+    triangles = [e for k in range(4) for e in itertools.combinations(range(3 * k + 1, 3 * k + 4), 2)]
+    return {
+        "C12": (_cycle_edges(12), 24),
+        "icosahedron": (icosahedron, 120),
+        "4K3": (triangles, math.factorial(3) ** 4 * math.factorial(4)),
+        "K6,6": ([(i, j) for i in range(1, 7) for j in range(7, 13)], 2 * math.factorial(6) ** 2),
+        "prism": (_cycle_edges(6) + _cycle_edges(6, 6) + [(i, i + 6) for i in range(1, 7)], 24),
+        "Mobius ladder": (_cycle_edges(12) + [(i, i + 6) for i in range(1, 7)], 24),
+    }
+
+
+def test_automorphism_order_on_symmetric_twelve_vertex_graphs():
+    for name, (edges, order) in _twelve_vertex_graphs().items():
+        g = Graph(p=12, edges=tuple(edges))
+        assert automorphism_order(g) == order, name
+        if order < 10**5:
+            want = reference_graphs.automorphisms(g)
+            assert len(want) == order and automorphisms(g) == want, name
+    rng = random.Random(12)
+    for _ in range(10):
+        g = _random_cubic_graph(rng, 12)
+        want = reference_graphs.automorphisms(g)
+        assert automorphism_order(g) == len(want) and automorphisms(g) == want
+
+
+def test_automorphisms_list_matches_reference_on_large_groups():
+    extension_graphs = (
+        (4, ((2, 3), (1, 3), (1, 2), (3, 4))),  # paw
+        (4, tuple(_cycle_edges(4))),
+        (5, tuple(_cycle_edges(5))),
+        (6, tuple(_cycle_edges(6))),
+        (5, tuple((i, j) for i in (1, 2) for j in (3, 4, 5))),  # K2,3
+        (6, tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6))),  # K3,3
+    )
+    complete = tuple(
+        (n, tuple(itertools.combinations(range(1, n + 1), 2))) for n in (4, 5, 6, 8)
+    )
+    petersen = [(i, i % 5 + 1) for i in range(1, 6)]
+    petersen += [(5 + i, 5 + (i + 1) % 5 + 1) for i in range(1, 6)]
+    petersen += [(i, i + 5) for i in range(1, 6)]
+    for p, edges in extension_graphs + complete + ((10, tuple(petersen)),):
+        g = Graph(p=p, edges=edges)
+        assert automorphisms(g) == reference_graphs.automorphisms(g)

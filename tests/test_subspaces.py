@@ -20,6 +20,7 @@ from graphsolitons import (
     build_solsoliton,
     canonical_subspace,
     check_soliton,
+    classify_subspaces,
     diagonal_derivation,
     einstein_direction,
     graph_classes,
@@ -409,3 +410,16 @@ def test_orbit_walk_matches_reference():
                 else:
                     compared["equivalent" if got.equivalent else "inequivalent"] += 1
     assert min(compared.values()) > 200, compared
+
+
+def test_classify_subspaces_agrees_with_the_single_answers():
+    rng = random.Random(54)
+    for g in _oracle_graphs()[::7]:
+        subs = _oracle_subspaces(rng, g)
+        for s in subs:
+            for t in (s, rng.choice(subs)):
+                assert classify_subspaces(g, s, t) == (
+                    subspace_equivalent(g, s, t),
+                    canonical_subspace(g, s),
+                    canonical_subspace(g, t),
+                )

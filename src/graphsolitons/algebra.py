@@ -7,7 +7,12 @@ matrix.  The Ricci operator of the corresponding left-invariant metric is
 
 where M is the two-term moment-map part, B the Killing operator, H the mean
 curvature vector (``<H,x> = tr ad_x``), and ``S`` the metric symmetrization
-``A -> (A + A*)/2``.  Everything is computed exactly over Fractions.
+``A -> (A + A*)/2``.  Everything is computed exactly over Fractions, and
+sparsely: G^-1 is inverted block by block over the connected components of
+the Gram matrix's nonzero pattern (a diagonal Gram costs one division per
+basis vector), and every product in Ric pairs only entries that share a
+nonzero.  The soliton check evaluates each Leibniz functional on the
+nonzeros of Ric alone.
 
 A metric algebra is a *Ricci soliton* when ``Ric = c I + D`` for a scalar c
 and a derivation D.  Membership of ``Ric - c I`` in the derivation algebra is
@@ -33,11 +38,9 @@ from .positivity import Weighting
 from .rational import (
     ONE,
     ZERO,
-    identity,
     inverse,
     leading_minors_all_positive,
     lstsq_exact,
-    solve_unique,
     sparse_nullspace,
 )
 
@@ -75,11 +78,44 @@ class MetricLieAlgebra:
             for j in range(i + 1, self.n):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise DegenerateGram("gram is not symmetric")
-        if not leading_minors_all_positive([list(row) for row in self.gram]):
-            raise DegenerateGram("gram is not positive definite")
+        # block diagonal (up to a permutation): PD exactly when every block is
+        for block in self.gram_blocks:
+            if len(block) == 1:
+                positive = self.gram[block[0]][block[0]] > 0
+            else:
+                positive = leading_minors_all_positive(
+                    [[self.gram[i][j] for j in block] for i in block]
+                )
+            if not positive:
+                raise DegenerateGram("gram is not positive definite")
 
     def __repr__(self):
         return f"MetricLieAlgebra(n={self.n}, brackets={len(self.brackets)})"
+
+    @cached_property
+    def gram_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """gram_rows[i] lists (j, G_ij) for the nonzero entries of row i."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.gram)
+
+    @cached_property
+    def gram_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components of the Gram matrix's nonzero pattern,
+        each ascending, ordered by least index.  G and G^-1 are block
+        diagonal over them."""
+        seen = [False] * self.n
+        blocks = []
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            block = [start]
+            for i in block:
+                for j, _x in self.gram_rows[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+            blocks.append(tuple(sorted(block)))
+        return tuple(blocks)
 
     @cached_property
     def bracket_map(self) -> dict:
@@ -199,121 +235,128 @@ def graph_ricci_diagonal(g: Graph, w: Weighting | None = None) -> list[Fraction]
     return diag
 
 
-def _sparse_from_dense(m) -> dict:
-    out = {}
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v != 0:
-                out[(i, j)] = v
-    return out
-
-
-def _sparse_mul(a: dict, b_rows: dict) -> dict:
-    """a @ b where both are {(i,j): val}; b is pre-indexed by row."""
-    out = {}
-    for (i, k), va in a.items():
-        row = b_rows.get(k)
-        if not row:
+def _gram_inverse_rows(L: MetricLieAlgebra) -> list[list[tuple[int, Fraction]]]:
+    """The nonzeros of G^-1, row by row, inverted block by block over
+    ``L.gram_blocks``: a 1x1 block is ``1/g``; only a larger block goes
+    through :func:`inverse`."""
+    rows = [[] for _ in range(L.n)]
+    for block in L.gram_blocks:
+        if len(block) == 1:
+            (i,) = block
+            rows[i].append((i, ONE / L.gram[i][i]))
             continue
-        for j, vb in row:
-            key = (i, j)
-            nv = out.get(key, ZERO) + va * vb
-            if nv == 0:
-                out.pop(key, None)
-            else:
-                out[key] = nv
-    return out
-
-
-def _rows_of(sparse: dict) -> dict:
-    rows = {}
-    for (i, j), v in sparse.items():
-        rows.setdefault(i, []).append((j, v))
+        inv = inverse([[L.gram[i][j] for j in block] for i in block])
+        for i, inv_row in zip(block, inv):
+            rows[i] = [(j, x) for j, x in zip(block, inv_row) if x]
     return rows
 
 
+def _add(acc: dict, key, x) -> None:
+    old = acc.get(key)
+    acc[key] = x if old is None else old + x
+
+
+def _add_pair_sums(out: list[dict], left, index: dict) -> None:
+    """out[a][b] += sum over keys of left[a][key] * index[key][b]: only the
+    pairs (a, b) that share a key meet."""
+    for acc, entries in zip(out, left):
+        for key, x in entries:
+            col = index.get(key)
+            if col:
+                for b, y in col.items():
+                    _add(acc, b, x * y)
+
+
 def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
-    """The Ricci operator in the algebra's basis, as a dense Fraction matrix."""
+    """The Ricci operator in the algebra's basis, as a dense Fraction matrix.
+
+    ``Ric = G^-1 F - S(ad_H)`` with the symmetric form
+
+        F(a, b) = -1/2 sum_{st} (ad_a)_{st} (G ad_b G^-1)_{st}
+                  - 1/4 tr(Q_a Q_b) - 1/2 tr(ad_a ad_b)
+
+    where ``Q_a = G^-1 R^(a)`` and ``R^(a)_{ij} = <[b_i, b_j], b_a>``.  Every
+    product runs over nonzeros only: G^-1 is inverted by Gram blocks, and
+    each pairing of a with b goes through an index keyed by matrix position,
+    so only pairs that share a nonzero are multiplied.
+    """
     n = L.n
-    g_dense = [list(row) for row in L.gram]
-    ginv_dense = inverse(g_dense)
-    gs = _sparse_from_dense(g_dense)
-    ginv_sparse = _sparse_from_dense(ginv_dense)
-    ginv_rows = _rows_of(ginv_sparse)
-    ads = [{(k, j): v for k, j, v in L.ad_entries[a]} for a in range(n)]
-    ad_rows = [_rows_of(ad) for ad in ads]
+    g_rows = L.gram_rows
+    ginv_rows = _gram_inverse_rows(L)
+    ads = L.ad_entries
 
-    # W_b = G ad_b G^-1;  F1(a,b) = -1/2 * sum_{s,t} (ad_a)_{st} (W_b)_{st}
-    ws = [_sparse_mul(_sparse_mul(gs, ad_rows[b]), ginv_rows) for b in range(n)]
-    f = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = ZERO
-            for key, va in ads[a].items():
-                vb = ws[b].get(key)
-                if vb is not None:
-                    acc += va * vb
-            if acc != 0:
-                f[a][b] -= acc / 2
+    f = [{} for _ in range(n)]
+    # -1/2 sum_{st} (ad_a)_{st} (G ad_b G^-1)_{st} and the Killing term
+    # -1/2 sum_{kj} (ad_a)_{kj} (ad_b)_{jk}, both paired with ad_a:
+    # index[(s, t)][b] holds (G ad_b G^-1)_{st} + (ad_b)_{ts}.
+    index = {}
+    for b in range(n):
+        for k, j, v in ads[b]:
+            for s, gsk in g_rows[k]:
+                x = gsk * v
+                for t, y in ginv_rows[j]:
+                    _add(index.setdefault((s, t), {}), b, x * y)
+            _add(index.setdefault((j, k), {}), b, v)
+    _add_pair_sums(f, [[((k, j), -v / 2) for k, j, v in ad] for ad in ads], index)
 
-    # R^(a)_{ij} = <[b_i,b_j], b_a>;  F2(a,b) = -1/4 tr(G^-1 R^(a) G^-1 R^(b))
-    r_forms = [dict() for _ in range(n)]
+    # -1/4 tr(Q_a Q_b), Q_a = G^-1 R^(a), R^(a)_{ij} = <[b_i,b_j], b_a>:
+    # index[(i, j)][b] holds (Q_b)_{ji}.
+    r_forms = [{} for _ in range(n)]
     for (i, j), coeffs in L.bracket_map.items():
         for k, val in coeffs.items():
-            for a in range(n):
-                gka = g_dense[k][a]
-                if gka != 0:
-                    x = val * gka
-                    r_forms[a][(i, j)] = r_forms[a].get((i, j), ZERO) + x
-                    r_forms[a][(j, i)] = r_forms[a].get((j, i), ZERO) - x
-    qs = [_sparse_mul(ginv_sparse, _rows_of(r_forms[a])) for a in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            acc = ZERO
-            for (i, j), va in qs[a].items():
-                vb = qs[b].get((j, i))
-                if vb is not None:
-                    acc += va * vb
-            if acc != 0:
-                f[a][b] -= acc / 4
-                if b > a:
-                    f[b][a] -= acc / 4
+            for a, gka in g_rows[k]:
+                x = val * gka
+                _add(r_forms[a], (i, j), x)
+                _add(r_forms[a], (j, i), -x)
+    qs = []
+    for r_form in r_forms:
+        q = {}
+        for (k, j), x in r_form.items():
+            for i, y in ginv_rows[k]:
+                _add(q, (i, j), y * x)
+        qs.append(q)
+    index = {}
+    for b, q in enumerate(qs):
+        for (j, i), x in q.items():
+            index.setdefault((i, j), {})[b] = x
+    _add_pair_sums(f, [[(key, -x / 4) for key, x in q.items()] for q in qs], index)
 
-    # Killing form
-    for a in range(n):
-        for b in range(a, n):
-            acc = ZERO
-            for (k, j), va in ads[a].items():
-                vb = ads[b].get((j, k))
-                if vb is not None:
-                    acc += va * vb
-            if acc != 0:
-                f[a][b] -= acc / 2
-                if b > a:
-                    f[b][a] -= acc / 2
+    ric = []
+    for i in range(n):
+        row = {}
+        for k, y in ginv_rows[i]:
+            for b, x in f[k].items():
+                _add(row, b, y * x)
+        ric.append(row)
 
-    ric = [[sum((v * f[k][j] for k, v in ginv_rows.get(i, ())), ZERO) for j in range(n)]
-           for i in range(n)]
-
-    # mean curvature: <H, b_a> = tr(ad b_a)
-    traces = [sum((v for (k, j), v in ads[a].items() if k == j), ZERO) for a in range(n)]
-    if any(t != 0 for t in traces):
-        h = solve_unique(g_dense, traces)
-        ad_h = [[ZERO] * n for _ in range(n)]
+    # mean curvature: <H, b_a> = tr(ad b_a), H = G^-1 traces;
+    # S(ad_H) = (ad_H + G^-1 ad_H^T G)/2
+    traces = [sum((v for k, j, v in ads[a] if k == j), ZERO) for a in range(n)]
+    if any(traces):
+        ad_h = {}
         for a in range(n):
-            if h[a] == 0:
-                continue
-            for (k, j), v in ads[a].items():
-                ad_h[k][j] += h[a] * v
-        # S(ad_H) = (ad_H + G^-1 ad_H^T G)/2
-        gah = [[sum((v * ad_h[j][s] for s, v in ginv_rows.get(i, ())), ZERO) for j in range(n)]
-               for i in range(n)]
-        adj = [[sum((gah[i][s] * g_dense[s][j] for s in range(n) if gah[i][s] != 0), ZERO)
-                for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ric[i][j] -= (ad_h[i][j] + adj[i][j]) / 2
-    return ric
+            h = sum((y * traces[k] for k, y in ginv_rows[a]), ZERO)
+            if h:
+                for k, j, v in ads[a]:
+                    _add(ad_h, (k, j), h * v)
+        # ad_H^T G, then G^-1 (ad_H^T G)
+        adj_g = {}
+        for (k, j), v in ad_h.items():
+            for t, gkt in g_rows[k]:
+                _add(adj_g, (j, t), v * gkt)
+        s_h = dict(ad_h)
+        for (j, t), x in adj_g.items():
+            for i, y in ginv_rows[j]:
+                _add(s_h, (i, t), y * x)
+        for (i, j), x in s_h.items():
+            _add(ric[i], j, -x / 2)
+
+    dense = [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(ric):
+        out = dense[i]
+        for j, x in row.items():
+            out[j] = x
+    return dense
 
 
 def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
@@ -325,32 +368,36 @@ def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
     """
     n = L.n
     prod = L.products_into
+    bracket_map = L.bracket_map
+    every_k = range(n)
     rows = []
-    nontrivial = [bool(prod[i]) for i in range(n)]
     for i in range(n):
+        prod_i = prod[i]
         for j in range(i + 1, n):
-            coeffs = L.bracket_map.get((i, j))
-            if coeffs is None and not (nontrivial[i] or nontrivial[j]):
-                continue
-            ks = set()
+            prod_j = prod[j]
+            coeffs = bracket_map.get((i, j))
             if coeffs:
-                ks.update(range(n))
+                ks = every_k
+            elif coeffs is not None or prod_i or prod_j:
+                ks = sorted(prod_j.keys() | prod_i.keys())
             else:
-                ks.update(prod[j].keys())
-                ks.update(prod[i].keys())
-            for k in sorted(ks):
+                continue
+            for k in ks:
                 row = {}
                 if coeffs:
                     for u, val in coeffs.items():
-                        row[k * n + u] = row.get(k * n + u, ZERO) + val
-                for u, val in prod[j].get(k, ()):
+                        row[k * n + u] = val
+                for u, val in prod_j.get(k, ()):
                     key = u * n + i
-                    row[key] = row.get(key, ZERO) - val
-                for u, val in prod[i].get(k, ()):
+                    old = row.get(key)
+                    row[key] = -val if old is None else old - val
+                for u, val in prod_i.get(k, ()):
                     # c^k_{iu} = -c^k_{ui} = -val
                     key = u * n + j
-                    row[key] = row.get(key, ZERO) + val
-                row = {key: v for key, v in row.items() if v != 0}
+                    old = row.get(key)
+                    row[key] = val if old is None else old + val
+                if not all(row.values()):
+                    row = {key: v for key, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
     return rows
@@ -405,7 +452,7 @@ def symmetric_derivation_nullspace(
         raise DimensionMismatch("decomposition does not cover the vertex set")
     n = L.n
     rows = list(L.leibniz)
-    gram_rows = [[(u, x) for u, x in enumerate(row) if x != 0] for row in L.gram]
+    gram_rows = L.gram_rows
     # symmetry: (G A)_{ij} = (A^T G)_{ij} for i < j
     for i in range(n):
         for j in range(i + 1, n):
@@ -450,34 +497,41 @@ def check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
     """
     n = L.n
     ric = ricci(L)
-    rows = L.leibniz
-    ric_vals = [_eval_row(row, ric, n) for row in rows]
-    eye = identity(n)
-    id_vals = [_eval_row(row, eye, n) for row in rows]
-    c = None
-    for rv, iv in zip(ric_vals, id_vals):
-        if iv != 0:
-            c = rv / iv
-            break
+    ric_nz = {i * n + j: v for i, row in enumerate(ric) for j, v in enumerate(row) if v}
+    # Each Leibniz functional at Ric (rv) and at I (iv: the sum of the
+    # row's diagonal keys, k * n + k = k * (n + 1)); rows where both vanish
+    # hold for every c and are dropped.
+    probe = ric_nz.keys() | {k * (n + 1) for k in range(n)}
+    vals = []
+    for row in L.leibniz:
+        if probe.isdisjoint(row):
+            continue
+        rv = iv = ZERO
+        for key, v in row.items():
+            x = ric_nz.get(key)
+            if x is not None:
+                rv += v * x
+            if key % (n + 1) == 0:
+                iv += v
+        if rv or iv:
+            vals.append((rv, iv))
+    c = next((rv / iv for rv, iv in vals if iv), None)
     if c is None:
-        # the identity is a derivation; pick c making D traceless
-        if all(rv == 0 for rv in ric_vals):
-            c = sum(ric[i][i] for i in range(n)) / n
-        else:
-            return _not_soliton(L, ric, rows)
-    if any(rv - c * iv != 0 for rv, iv in zip(ric_vals, id_vals)):
-        return _not_soliton(L, ric, rows)
-    deriv = tuple(
-        tuple(ric[i][j] - (c if i == j else ZERO) for j in range(n)) for i in range(n)
-    )
-    return SolitonCertificate(c=c, derivation=deriv, residual=ZERO)
+        # the identity is a derivation: so must Ric be, and c makes D traceless
+        if vals:
+            return _not_soliton(L, ric_nz)
+        c = sum(ric[i][i] for i in range(n)) / n
+    elif any(rv != c * iv if iv else rv for rv, iv in vals):
+        return _not_soliton(L, ric_nz)
+    for i, row in enumerate(ric):
+        row[i] -= c
+    return SolitonCertificate(c=c, derivation=tuple(map(tuple, ric)), residual=ZERO)
 
 
-def _not_soliton(L, ric, rows) -> NotSoliton:
+def _not_soliton(L, ric_nz: dict) -> NotSoliton:
     n = L.n
-    target = {i * n + j: v for i, row in enumerate(ric) for j, v in enumerate(row) if v != 0}
     columns = [{i * n + i: ONE for i in range(n)}]
-    columns.extend(sparse_nullspace(rows, n * n))
-    _coeffs, resid = lstsq_exact(columns, target)
+    columns.extend(sparse_nullspace(L.leibniz, n * n))
+    _coeffs, resid = lstsq_exact(columns, ric_nz)
     residual = max((abs(v) for v in resid.values()), default=ZERO)
     return NotSoliton(residual=residual)

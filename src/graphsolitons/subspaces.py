@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientBasis,
     WeightingMismatch,
 )
-from .graphs import Graph, Permutation, automorphisms
+from .graphs import Graph, Permutation, _excerpt, automorphisms
 from .positivity import Weighting
 from .rational import ONE, ZERO, frac, parse_fraction, rref
 
@@ -105,7 +105,7 @@ def parse_subspace(text: str, p: int) -> list[list[Fraction]]:
             try:
                 entries.append(parse_fraction(tok))
             except (ValueError, ZeroDivisionError):
-                raise MalformedLine(f"line {lineno}: bad entry {tok!r}") from None
+                raise MalformedLine(f"line {lineno}: bad entry {_excerpt(tok)}") from None
         if len(entries) != p:
             raise MalformedLine(f"line {lineno}: expected {p} entries, got {len(entries)}")
         vectors.append(entries)

@@ -463,6 +463,32 @@ def test_subspace_file_refuses_exponent_entries_at_once(tmp_path, capsys):
     assert err == "error: line 1: bad entry '1e1000000000'\n"
 
 
+def test_subspace_file_quotes_a_long_bad_entry_in_part(tmp_path, capsys):
+    gpath = _write(tmp_path, "paw.graph", PAW_TEXT)
+    vec = _write(tmp_path, "long.vec", "x" * 5000 + " 1 0 0\n")
+    code, out, err = _run(capsys, ["solsoliton", gpath, "--subspace", vec])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err == "error: line 1: bad entry " + repr("x" * 40) + "...\n"
+
+
+def test_analyze_k8_inverts_no_dense_gram(tmp_path, capsys, monkeypatch):
+    # the nilsoliton Gram of a graph algebra is diagonal: every block is
+    # 1x1, so the Ricci operator never calls the dense inverse
+    path = _write(
+        tmp_path, "k8.graph",
+        "8\n" + "".join(f"{i} {j}\n" for i, j in itertools.combinations(range(1, 9), 2)),
+    )
+    expected = _run(capsys, ["analyze", path])
+
+    def refuse(a):
+        raise AssertionError("dense inverse called")
+
+    monkeypatch.setattr(algebra, "inverse", refuse)
+    assert _run(capsys, ["analyze", path]) == expected
+    assert expected[0] == 0 and json.loads(expected[1])["soliton"]["residual"] == "0"
+
+
 # ---------------------------------------------------------------- census
 
 def test_census_small(tmp_path, capsys):

@@ -1,0 +1,225 @@
+"""The sparse Ricci operator, Leibniz rows and soliton check against the dense
+reference implementation (``reference_algebra``), and the closed-form
+Ricci diagonal of graph algebras against the general formula."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from graphsolitons import (
+    DegenerateGram,
+    Graph,
+    MetricLieAlgebra,
+    NotSoliton,
+    SolitonCertificate,
+    SubspaceParam,
+    build_solsoliton,
+    check_soliton,
+    einstein_direction,
+    graph_algebra,
+    graph_classes,
+    graph_ricci_diagonal,
+    is_positive,
+    leibniz_rows,
+    ricci,
+    solve_weights,
+)
+from graphsolitons.rational import leading_minors_all_positive
+from conftest import F
+import reference_algebra
+
+
+def _rows_in_order(rows):
+    return [list(row.items()) for row in rows]
+
+
+def _assert_matches_reference(L):
+    """Same dense Ricci matrix, same Leibniz rows in the same row and key
+    order, same certificate or residual; returns the check's result."""
+    assert ricci(L) == reference_algebra.ricci(L)
+    assert _rows_in_order(leibniz_rows(L)) == _rows_in_order(reference_algebra.leibniz_rows(L))
+    result = check_soliton(L)
+    assert result == reference_algebra.check_soliton(L)
+    return result
+
+
+def _metrics(g):
+    """The canonical metric, and the nilsoliton metric when g is positive
+    with a weighting."""
+    yield None
+    dec = is_positive(g)
+    if dec.positive and dec.weighting is not None:
+        yield dec.weighting
+
+
+def _random_subspace(rng, p, r):
+    while True:
+        vecs = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p)] for _ in range(r)]
+        s = SubspaceParam.from_vectors(p, vecs)
+        if s.r == r:
+            return s
+
+
+def _random_spd(rng, n):
+    """A^T A + I for a random small-integer A: symmetric positive definite,
+    mostly dense."""
+    a = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    return [
+        [sum((a[k][i] * a[k][j] for k in range(n)), F(0)) + (F(1) if i == j else F(0))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _random_block_spd(rng, n):
+    """A symmetric positive-definite matrix, block diagonal over a random
+    partition of 0..n-1 into parts of size 1 to 3, each part a dense-ish
+    SPD block."""
+    order = list(range(n))
+    rng.shuffle(order)
+    gram = [[F(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        part = sorted(order[start:start + rng.randint(1, 3)])
+        start += len(part)
+        block = _random_spd(rng, len(part))
+        for bi, i in enumerate(part):
+            for bj, j in enumerate(part):
+                gram[i][j] = block[bi][bj]
+    return gram
+
+
+def _with_gram(L, gram):
+    return MetricLieAlgebra(
+        n=L.n, labels=L.labels, brackets=L.brackets, gram=tuple(map(tuple, gram))
+    )
+
+
+# ---------------------------------------------------------------- oracles
+
+def test_matches_reference_on_every_graph_up_to_six_vertices():
+    outcomes = {SolitonCertificate: 0, NotSoliton: 0}
+    for g in graph_classes(6, connected_only=False):
+        for w in _metrics(g):
+            outcomes[type(_assert_matches_reference(graph_algebra(g, w)))] += 1
+    # both answers occur: nilsoliton metrics certify, many canonical ones do not
+    assert outcomes[SolitonCertificate] > 150 and outcomes[NotSoliton] > 50
+
+
+def test_matches_reference_on_solvsolitons_of_every_rank():
+    rng = random.Random(8)
+    graphs = [g for g in graph_classes(5) if g.q > 0]
+    graphs += [Graph(p=6, edges=tuple(itertools.combinations(range(1, 7), 2)))]
+    checked = 0
+    for g in graphs:
+        dec = is_positive(g)
+        if not dec.positive or dec.weighting is None:
+            continue
+        w = dec.weighting
+        subspaces = [_random_subspace(rng, g.p, r) for r in range(1, g.p + 1)]
+        subspaces.append(SubspaceParam.from_vectors(g.p, [einstein_direction(g, w)]))
+        for s in subspaces:
+            L = build_solsoliton(g, w, s)
+            result = _assert_matches_reference(L)
+            assert isinstance(result, SolitonCertificate)
+            checked += 1
+    assert checked > 100
+
+
+def test_matches_reference_on_dense_and_block_grams():
+    # Non-diagonal Grams: multi-vertex blocks of G^-1, and with a solvable
+    # extension's brackets the mean-curvature term S(ad_H).
+    rng = random.Random(88)
+    path = Graph(p=3, edges=((1, 2), (2, 3)))
+    paw = Graph(p=4, edges=((2, 3), (1, 3), (1, 2), (3, 4)))
+    bases = [graph_algebra(path), graph_algebra(paw)]
+    for g in (path, paw):
+        w = solve_weights(g)
+        bases += [build_solsoliton(g, w, _random_subspace(rng, g.p, r)) for r in (1, 2)]
+    largest_block = 0
+    outcomes = set()
+    for L in bases:
+        for make in (_random_spd, _random_block_spd):
+            for _ in range(4):
+                M = _with_gram(L, make(rng, L.n))
+                largest_block = max(largest_block, max(map(len, M.gram_blocks)))
+                outcomes.add(type(_assert_matches_reference(M)))
+    assert largest_block == max(L.n for L in bases)
+    assert NotSoliton in outcomes
+
+
+def test_off_diagonal_ricci_failing_only_rows_free_of_the_identity():
+    # P3 and K3 with <v1, v2> = 1/2: every Leibniz row that involves the
+    # identity agrees on one c, and only rows whose value at I is 0 fail,
+    # so the check must test those rows at Ric too.
+    for edges in (((1, 3), (2, 3)), ((1, 2), (1, 3), (2, 3))):
+        base = graph_algebra(Graph(p=3, edges=edges))
+        n = base.n
+        gram = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+        gram[0][1] = gram[1][0] = F(1, 2)
+        L = _with_gram(base, gram)
+        ric = reference_algebra.ricci(L)
+        eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        vals = [
+            (reference_algebra._eval_row(row, ric, n), reference_algebra._eval_row(row, eye, n))
+            for row in L.leibniz
+        ]
+        assert len({rv / iv for rv, iv in vals if iv}) == 1
+        assert any(rv for rv, iv in vals if not iv)
+        result = _assert_matches_reference(L)
+        assert isinstance(result, NotSoliton) and result.residual == F(1, 3)
+
+
+def test_gram_blocks_split_the_nonzero_pattern():
+    gram = (
+        (F(2), F(0), F(0), F(1)),
+        (F(0), F(2), F(0), F(1)),
+        (F(0), F(0), F(3), F(0)),
+        (F(1), F(1), F(0), F(3)),
+    )
+    L = MetricLieAlgebra(n=4, labels=("a", "b", "c", "d"), brackets=(), gram=gram)
+    assert L.gram_blocks == ((0, 1, 3), (2,))
+    assert graph_algebra(Graph(p=3, edges=((1, 2),))).gram_blocks == ((0,), (1,), (2,), (3,))
+
+
+def test_gram_check_by_blocks_accepts_and_rejects_as_the_whole_matrix():
+    rng = random.Random(81)
+    accepted = rejected = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        gram = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = F(rng.randint(-1, 4), rng.randint(1, 2))
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    gram[i][j] = gram[j][i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        labels = tuple(f"x{i}" for i in range(n))
+        if leading_minors_all_positive(gram):
+            MetricLieAlgebra(n=n, labels=labels, brackets=(), gram=tuple(map(tuple, gram)))
+            accepted += 1
+        else:
+            with pytest.raises(DegenerateGram, match="^gram is not positive definite$"):
+                MetricLieAlgebra(n=n, labels=labels, brackets=(), gram=tuple(map(tuple, gram)))
+            rejected += 1
+    assert accepted > 50 and rejected > 50
+
+
+# ---------------------------------------------------------------- double path
+
+def test_ricci_matches_closed_form_on_every_connected_graph_up_to_six_vertices():
+    # the existing double-path test stops at p <= 4; this one covers all
+    # 1 + 1 + 2 + 6 + 21 + 112 connected classes with p <= 6
+    canonical = weighted = 0
+    for g in graph_classes(6):
+        for w in _metrics(g):
+            diag = graph_ricci_diagonal(g, w)
+            n = g.p + g.q
+            expected = [[diag[a] if a == b else Fraction(0) for b in range(n)] for a in range(n)]
+            assert ricci(graph_algebra(g, w)) == expected
+            if w is None:
+                canonical += 1
+            else:
+                weighted += 1
+    assert canonical == 143 and weighted > 100

@@ -33,7 +33,7 @@ from .errors import (
     NotGraphAlgebra,
     WeightingMismatch,
 )
-from .graphs import CoherentDecomposition, Graph
+from .graphs import Graph
 from .positivity import Weighting
 from .rational import (
     ONE,
@@ -429,27 +429,21 @@ def is_derivation(L: MetricLieAlgebra, a) -> bool:
     return all(_eval_row(row, a, L.n) == 0 for row in L.leibniz)
 
 
-def symmetric_derivation_dimension(
-    L: MetricLieAlgebra, cd: CoherentDecomposition
-) -> tuple[int, list[list[list[Fraction]]]]:
+def symmetric_derivation_dimension(L: MetricLieAlgebra) -> tuple[int, list[list[list[Fraction]]]]:
     """Dimension (and a basis) of the metric-symmetric derivations of a
     weighted graph algebra.
 
     Equals the sum of m(m+1)/2 over the coherent component sizes m.
     """
-    basis = symmetric_derivation_nullspace(L, cd)
+    basis = symmetric_derivation_nullspace(L)
     return len(basis), [_unflatten(vec, L.n) for vec in basis]
 
 
-def symmetric_derivation_nullspace(
-    L: MetricLieAlgebra, cd: CoherentDecomposition
-) -> list[dict]:
+def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
     """Sparse basis of the metric-symmetric derivations: each vector maps a
     flat index ``i * n + j`` to the (i, j) entry.  Counting it needs no dense
     n x n matrices."""
-    p, _q = L.vertex_edge_split()
-    if sorted(v for comp in cd.components for v in comp) != list(range(1, p + 1)):
-        raise DimensionMismatch("decomposition does not cover the vertex set")
+    L.vertex_edge_split()  # raises NotGraphAlgebra for any other algebra
     n = L.n
     rows = list(L.leibniz)
     gram_rows = L.gram_rows

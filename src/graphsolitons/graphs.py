@@ -35,6 +35,10 @@ DISCRETE = "discrete"
 # unknowns; K13 (p + q = 91) fits.
 MAX_ALGEBRA_DIM = 100
 
+# Largest group order ``automorphisms`` lists: 9! = |Aut K9|, a list that
+# takes about 2.5 s and 170 MiB to build (Python 3.11).
+MAX_AUT_LIST = math.factorial(9)
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -227,68 +231,60 @@ class CoherentDecomposition:
         return tuple(len(c) for c in self.components)
 
 
+def _adjacency(g: Graph) -> list[int]:
+    """Bitmask adjacency, 0-based: bit w of ``adj[v]`` is set iff v ~ w."""
+    adj = [0] * g.p
+    for i, j in g.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return adj
+
+
+def _twin_classes(p: int, adj: list[int]) -> list[list[int]]:
+    """Twin classes of the bitmask adjacency ``adj``, singletons included:
+    ascending 0-based vertex lists, ordered by least vertex.
+
+    Vertices i, j are twins iff N(i)\\{j} = N(j)\\{i}.  Non-adjacent twins
+    share their open neighbourhood N(v), adjacent twins their closed one
+    N[v]; hashing both finds the classes in O(p) dictionary operations.  No
+    vertex has twins of both kinds: if N(i) = N(j) and N[i] = N[k], then k
+    is adjacent to i, hence to j, so j lies in N[k] = N[i], yet open twins
+    are never adjacent.
+    """
+    opened = {}
+    closed = {}
+    for v in range(p):
+        opened.setdefault(adj[v], []).append(v)
+        closed.setdefault(adj[v] | 1 << v, []).append(v)
+    classes = []
+    for v in range(p):
+        members = opened[adj[v]]
+        if len(members) == 1:
+            members = closed[adj[v] | 1 << v]
+        if members[0] == v:
+            classes.append(members)
+    return classes
+
+
 def coherent_components(g: Graph) -> CoherentDecomposition:
     """Coarsest partition into twin classes.
 
     Vertices i, j land in one component iff N(i)\\{j} = N(j)\\{i}; each
     component induces a complete or an edgeless subgraph, and two components
     are joined either completely or not at all.
-
-    Non-adjacent twins share their open neighbourhood N(v), adjacent twins
-    their closed one N[v]; hashing both finds the classes in O(p + q).  No
-    vertex has twins of both kinds: if N(i) = N(j) and N[i] = N[k], then k
-    is adjacent to j, so j lies in N[k] = N[i], yet j is not adjacent to i.
     """
-    opened = g.neighbor_sets
-    closed = [nv | {v} for v, nv in enumerate(opened, start=1)]
-    false_twins = {}
-    true_twins = {}
-    for v in range(1, g.p + 1):
-        false_twins.setdefault(opened[v - 1], []).append(v)
-        true_twins.setdefault(closed[v - 1], []).append(v)
-    components = set()
-    for v in range(1, g.p + 1):
-        group = false_twins[opened[v - 1]]
-        if len(group) == 1:
-            group = true_twins[closed[v - 1]]
-        components.add(tuple(group))
-    components = tuple(sorted(components))
-
-    flags = []
-    for comp in components:
-        if len(comp) >= 2 and g.has_edge(comp[0], comp[1]):
-            flags.append(COMPLETE)
-        else:
-            flags.append(DISCRETE)
-
-    joins = []
-    for a, b in itertools.combinations(range(len(components)), 2):
-        if g.has_edge(components[a][0], components[b][0]):
-            joins.append((a, b))
-    return CoherentDecomposition(
-        components=components, flags=tuple(flags), coherence_edges=tuple(joins)
+    adj = _adjacency(g)
+    classes = _twin_classes(g.p, adj)
+    flags = tuple(
+        COMPLETE if len(c) >= 2 and adj[c[0]] >> c[1] & 1 else DISCRETE for c in classes
     )
-
-
-def _twin_swaps(p: int, adj: list) -> list:
-    """Transpositions of twin vertices, as image lists.
-
-    Open twins share their open neighbourhood, closed twins their closed
-    one; a vertex has twins of at most one kind, and swapping two twins
-    fixes every other vertex and every edge.  Consecutive members of each
-    twin class are swapped, which generates every permutation of the class.
-    """
-    classes = {}
-    for v in range(p):
-        classes.setdefault((adj[v], 0), []).append(v)
-        classes.setdefault((adj[v] | 1 << v, 1), []).append(v)
-    swaps = []
-    for members in classes.values():
-        for u, v in zip(members, members[1:]):
-            perm = list(range(p))
-            perm[u], perm[v] = v, u
-            swaps.append(perm)
-    return swaps
+    joins = tuple(
+        (a, b)
+        for a, b in itertools.combinations(range(len(classes)), 2)
+        if adj[classes[a][0]] >> classes[b][0] & 1
+    )
+    components = tuple(tuple(v + 1 for v in c) for c in classes)
+    return CoherentDecomposition(components=components, flags=flags, coherence_edges=joins)
 
 
 def _search(g: Graph):
@@ -328,11 +324,14 @@ def _search(g: Graph):
     found sends ``order[m]`` onto it.
     """
     p = g.p
-    adj = [0] * p
-    for i, j in g.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
-    gens = _twin_swaps(p, adj)
+    adj = _adjacency(g)
+    # Swapping consecutive twins generates every permutation of each class.
+    gens = []
+    for members in _twin_classes(p, adj):
+        for u, v in zip(members, members[1:]):
+            swap = list(range(p))
+            swap[u], swap[v] = v, u
+            gens.append(swap)
     # fixed[i]: bitmask of the vertices gens[i] fixes
     fixed = [sum(1 << v for v in range(p) if s[v] == v) for s in gens]
     cols = [0] * p
@@ -448,15 +447,20 @@ def automorphisms(g: Graph, max_vertices: int = 12) -> list[Permutation]:
     """The full automorphism group, identity first, sorted by image tuple.
 
     Multiplies out the stabilizer chain of the canonical search's
-    automorphisms; refuses graphs with more than ``max_vertices`` vertices
-    since the list itself can be factorially large.  To count the group,
-    use :func:`automorphism_order`.
+    automorphisms.  Refuses graphs with more than ``max_vertices`` vertices,
+    which bounds the search, and groups of order above :data:`MAX_AUT_LIST`,
+    which bounds the list; both raise :class:`GroupTooLarge`.  To count the
+    group, use :func:`automorphism_order`.
     """
     if g.p > max_vertices:
         raise GroupTooLarge(f"refusing to enumerate Aut for p={g.p} > {max_vertices}")
     _, order, gens = _search(g)
+    chain = _stabilizer_chain(order, gens)
+    size = math.prod(len(level) for level in chain)
+    if size > MAX_AUT_LIST:
+        raise GroupTooLarge(f"refusing to list Aut of order {size} > 9! = {MAX_AUT_LIST}")
     elements = [range(g.p)]
-    for level in reversed(_stabilizer_chain(order, gens)):
+    for level in reversed(chain):
         if len(level) > 1:
             elements = [[t[x] for x in e] for t in level.values() for e in elements]
     return [Permutation(t) for t in sorted(tuple(x + 1 for x in e) for e in elements)]

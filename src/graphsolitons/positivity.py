@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import EmptyEdgeSet, NotSymmetric, UnknownFamily
-from .graphs import CoherentDecomposition, Graph, coherent_components
+from .graphs import Graph, coherent_components
 from .rational import ONE, ZERO, frac, leading_minors_all_positive
 
 
@@ -63,16 +63,14 @@ def positivity_matrix(g: Graph) -> list[list[Fraction]]:
     return m
 
 
-def edge_similarity_classes(g: Graph, cd: CoherentDecomposition | None = None):
+def edge_similarity_classes(g: Graph):
     """Group edges by the (unordered) pair of coherent components they join.
 
     Returns ``(class_ids, n_classes)`` where ``class_ids[k]`` is the 0-based
     class of edge k.  Similar edges provably carry equal weights.
     """
-    if cd is None:
-        cd = coherent_components(g)
     block_of = {}
-    for b, comp in enumerate(cd.components):
+    for b, comp in enumerate(coherent_components(g).components):
         for v in comp:
             block_of[v] = b
     keys = {}

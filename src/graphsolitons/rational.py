@@ -15,9 +15,6 @@ from fractions import Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Vector = "list[Fraction]"
-Matrix = "list[list[Fraction]]"
-
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -115,16 +115,12 @@ def parse_subspace(text: str, p: int) -> list[list[Fraction]]:
 def diagonal_derivation(g: Graph, v) -> list[list[Fraction]]:
     """The derivation ``diag(v_1..v_p, v_i + v_j per edge (i,j))`` of the
     graph algebra, as a dense (p+q) x (p+q) matrix."""
-    vec = [frac(x) for x in v]
+    vec = list(v)
     if len(vec) != g.p:
         raise DimensionMismatch(f"vector has {len(vec)} entries for p = {g.p}")
-    n = g.p + g.q
-    m = [[ZERO] * n for _ in range(n)]
-    for i in range(g.p):
-        m[i][i] = vec[i]
-    for k, (i, j) in enumerate(g.edges):
-        m[g.p + k][g.p + k] = vec[i - 1] + vec[j - 1]
-    return m
+    diag = _derivation_diag(g, vec)
+    n = len(diag)
+    return [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def _derivation_diag(g: Graph, v) -> list[Fraction]:

@@ -173,7 +173,7 @@ def test_criterion_06_symmetric_derivation_dimension_law(connected_classes_p6):
             w = dec.weighting
         cd = coherent_components(g)
         L = graph_algebra(g, w)
-        dim, _ = symmetric_derivation_dimension(L, cd)
+        dim, _ = symmetric_derivation_dimension(L)
         assert dim == sum(m * (m + 1) // 2 for m in cd.sizes)
         checked += 1
     assert checked >= 135

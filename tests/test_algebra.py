@@ -261,13 +261,13 @@ def test_is_derivation_rejects_wrong_shape(k2):
 
 def test_symmetric_derivation_dimension_reference(paw, p3):
     L = graph_algebra(paw, solve_weights(paw))
-    dim, basis = symmetric_derivation_dimension(L, coherent_components(paw))
+    dim, basis = symmetric_derivation_dimension(L)
     assert dim == 5
     for mat in basis:
         assert is_derivation(L, mat)
 
     L3 = graph_algebra(p3, solve_weights(p3))
-    dim, _ = symmetric_derivation_dimension(L3, coherent_components(p3))
+    dim, _ = symmetric_derivation_dimension(L3)
     assert dim == 4
 
 
@@ -281,11 +281,11 @@ def test_symmetric_derivation_dimension_law(connected_classes_p5):
             continue
         cd = coherent_components(g)
         L = graph_algebra(g, dec.weighting)
-        dim, _ = symmetric_derivation_dimension(L, cd)
+        dim, _ = symmetric_derivation_dimension(L)
         assert dim == sum(m * (m + 1) // 2 for m in cd.sizes)
 
 
-def test_symmetric_derivation_rejects_non_graph_algebra(k2):
+def test_symmetric_derivation_rejects_non_graph_algebra():
     L = MetricLieAlgebra(
         n=2,
         labels=("a", "x"),
@@ -293,7 +293,7 @@ def test_symmetric_derivation_rejects_non_graph_algebra(k2):
         gram=((F(1), F(0)), (F(0), F(1))),
     )
     with pytest.raises(NotGraphAlgebra):
-        symmetric_derivation_dimension(L, coherent_components(k2))
+        symmetric_derivation_dimension(L)
 
 
 # ---------------------------------------------------------------- solitons

@@ -452,6 +452,24 @@ def test_classify_refuses_more_than_twelve_vertices(tmp_path, capsys):
     assert report["soliton"] is True and report["canonical_subspace"] is None
 
 
+def test_subspace_commands_refuse_to_list_a_group_above_nine_factorial(tmp_path, capsys):
+    # K10 passes the p <= 12 cap, but listing its 10! automorphisms would
+    # take gigabytes; the group's order is known before the list is built
+    path = _write(tmp_path, "k10.graph", _complete_graph_text(10))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["solsoliton", path, "--einstein"])
+    assert time.perf_counter() - start < 30.0
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["soliton"] is True and report["canonical_subspace"] is None
+    line = _write(tmp_path, "line.vec", " ".join(["1"] + ["0"] * 9) + "\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["classify", path, line, line])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err == "error: refusing to list Aut of order 3628800 > 9! = 362880\n"
+
+
 def test_subspace_file_refuses_exponent_entries_at_once(tmp_path, capsys):
     # Fraction("1e1000000000") would build a power of ten with 10^9 digits
     gpath = _write(tmp_path, "paw.graph", PAW_TEXT)

@@ -7,8 +7,10 @@ import pytest
 
 import reference_graphs
 from graphsolitons import (
+    TABLE_ROWS,
     DimensionMismatch,
     DuplicateEdge,
+    FamilySpec,
     Graph,
     GroupTooLarge,
     IndexOutOfRange,
@@ -20,6 +22,7 @@ from graphsolitons import (
     automorphism_order,
     automorphisms,
     coherent_components,
+    family_graph,
     induced_edge_permutation,
     line_graph,
     parse_graph,
@@ -259,6 +262,19 @@ def test_coherent_components_match_reference_on_random_graphs():
     assert twins >= 500 and isolated >= 100
 
 
+def test_coherent_components_match_reference_on_family_graphs():
+    # every table1 --max 8 instance: up to 24 vertices, twin classes of up to 8
+    count = 0
+    for row in TABLE_ROWS:
+        ranges = [range(2 if full else 1, 9) for full in row.complete]
+        for sizes in itertools.product(*ranges):
+            spec = FamilySpec(complete=row.complete, adjacency=row.adjacency, sizes=sizes)
+            g = family_graph(spec)
+            assert coherent_components(g) == reference_graphs.coherent_components(g)
+            count += 1
+    assert count == 2662
+
+
 # ---------------------------------------------------------------- automorphisms
 
 def test_automorphisms_small():
@@ -312,6 +328,10 @@ def test_automorphisms_permute_components():
 def test_automorphisms_too_large():
     with pytest.raises(GroupTooLarge):
         automorphisms(Graph(p=13, edges=()), max_vertices=12)
+    # within the vertex cap, but |Aut K10| = 10! is above the listing bound
+    k10 = Graph(p=10, edges=tuple(itertools.combinations(range(1, 11), 2)))
+    with pytest.raises(GroupTooLarge, match=r"^refusing to list Aut of order 3628800 > 9!"):
+        automorphisms(k10)
 
 
 def _every_small_graph():

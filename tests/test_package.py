@@ -1,6 +1,7 @@
 """Properties of the package as a whole: its sources and its dependencies."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -26,6 +27,27 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_names_exist():
+    # perfbench/tracer.py wraps these by name, so --trace 1 breaks when one
+    # goes; several have no caller in the package itself
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    assert ("algebra.gram_check", "algebra", "MetricLieAlgebra.__post_init__") in targets
+    missing = []
+    for _metric, modname, attr in targets:
+        scope = importlib.import_module(f"graphsolitons.{modname}")
+        *owners, name = attr.split(".")
+        for owner in owners:
+            scope = getattr(scope, owner, None)
+        if name not in vars(scope or object):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []
 
 
 def test_pyproject_declares_no_runtime_dependencies():

@@ -14,7 +14,6 @@ from graphsolitons import (
     Graph,
     SubspaceParam,
     build_solsoliton,
-    coherent_components,
     graph_algebra,
     graph_classes,
     is_positive,
@@ -97,12 +96,11 @@ def _check_graph_systems(g):
     """Leibniz and symmetric systems of g, with the canonical metric and,
     when g is positive, with its nilsoliton weights."""
     weighting = is_positive(g).weighting
-    cd = coherent_components(g)
     for w in (None,) if weighting is None else (None, weighting):
         L = graph_algebra(g, w)
         assert list(L.leibniz) == leibniz_rows(L)
         _assert_same_basis(list(L.leibniz), L.n * L.n)
-        got = symmetric_derivation_nullspace(L, cd)
+        got = symmetric_derivation_nullspace(L)
         want = reference_rational.sparse_nullspace(_reference_symmetric_system(L), L.n * L.n)
         assert got == want
         assert [list(vec) for vec in got] == [list(vec) for vec in want]

@@ -31,13 +31,18 @@ from .errors import (
     GraphSolitonsError,
     GroupTooLarge,
     IndexOutOfRange,
+    InvalidArgument,
+    InvalidFamilySpec,
     MalformedLine,
     NotAnAutomorphism,
+    NotAPermutation,
     NotGraphAlgebra,
     NotPositiveGraph,
+    NotReducedEchelon,
     NotSymmetric,
     RankDeficientBasis,
     SelfLoop,
+    SingularMatrix,
     UnknownFamily,
     WeightingMismatch,
 )

@@ -148,42 +148,6 @@ class MetricLieAlgebra:
                 ads[j].append((k, i, -val))
         return tuple(tuple(x) for x in ads)
 
-    def bracket(self, x: dict, y: dict) -> dict:
-        """Bracket of two sparse coordinate vectors."""
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                if i == j:
-                    continue
-                coeffs = self.bracket_map.get((min(i, j), max(i, j)))
-                if not coeffs:
-                    continue
-                sign = 1 if i < j else -1
-                for k, val in coeffs.items():
-                    nv = out.get(k, ZERO) + sign * xi * yj * val
-                    if nv == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = nv
-        return out
-
-    def check_jacobi(self) -> bool:
-        import itertools
-
-        for i, j, k in itertools.combinations(range(self.n), 3):
-            total = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                term = self.bracket({a: ONE}, self.bracket({b: ONE}, {c: ONE}))
-                for t, v in term.items():
-                    nv = total.get(t, ZERO) + v
-                    if nv == 0:
-                        total.pop(t, None)
-                    else:
-                        total[t] = nv
-            if total:
-                return False
-        return True
-
     def vertex_edge_split(self) -> tuple[int, int]:
         """(#vertex labels, #edge labels); raises unless the algebra was built
         from a graph (labels all 'v*' then 'e*')."""
@@ -440,25 +404,99 @@ def symmetric_derivation_dimension(L: MetricLieAlgebra) -> tuple[int, list[list[
 
 
 def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
-    """Sparse basis of the metric-symmetric derivations: each vector maps a
-    flat index ``i * n + j`` to the (i, j) entry.  Counting it needs no dense
-    n x n matrices."""
-    L.vertex_edge_split()  # raises NotGraphAlgebra for any other algebra
+    """Sparse basis of the metric-symmetric derivations of a graph algebra:
+    each vector maps a flat index ``i * n + j`` to the (i, j) entry.
+    Counting it needs no dense n x n matrices.
+
+    Solved on the generators, in the p(p+1)/2 entries of a symmetric p x p
+    matrix A.  Every derivation preserves W = [n, n], the span of the edge
+    vectors; as the Gram is block diagonal over V and W, a symmetric D also
+    preserves V, so D = A + D_W.  A fixes D through
+
+        X_ij = D[v_i, v_j] = sum_u A[u][i] [v_u, v_j] + sum_u A[u][j] [v_i, v_u],
+
+    summed over the neighbours u of j and of i.  X_ij must vanish for a
+    non-edge {i, j}, one row per nonzero coordinate; for the edge
+    ``[v_i, v_j] = c e_k`` it is c times column k of D_W.  D_W is then
+    symmetric for the Gram diagonal g on W:
+    ``g_m D_W[m][k] = g_k D_W[k][m]``, one row per pair of edges that meet.
+    """
+    p, q = L.vertex_edge_split()  # raises NotGraphAlgebra for any other algebra
     n = L.n
-    rows = list(L.leibniz)
-    gram_rows = L.gram_rows
-    # symmetry: (G A)_{ij} = (A^T G)_{ij} for i < j
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = {}
-            for u, x in gram_rows[i]:
-                row[u * n + j] = row.get(u * n + j, ZERO) + x
-            for u, x in gram_rows[j]:
-                row[u * n + i] = row.get(u * n + i, ZERO) - x
-            row = {k: v for k, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
-    return sparse_nullspace(rows, n * n)
+    gram = L.gram
+    if len(L.gram_blocks) != n or any(gram[i][i] != ONE for i in range(p)):
+        raise NotGraphAlgebra("Gram is not the identity on V and diagonal on W")
+    targets = set()
+    for i, j, coeffs in L.brackets:
+        k, c = coeffs[0] if len(coeffs) == 1 else (0, ZERO)
+        if j >= p or k < p or not c or k in targets:
+            raise NotGraphAlgebra("brackets are not [v_i, v_j] = c e_k, one per edge vector")
+        targets.add(k)
+    if len(targets) != q:
+        raise NotGraphAlgebra("an edge vector is no bracket of vertex vectors")
+
+    # unknown var[a][b] = var[b][a] is A[a][b]; cells[var] = (a, b), a <= b
+    var = [[0] * p for _ in range(p)]
+    cells = []
+    for a in range(p):
+        for b in range(a, p):
+            var[a][b] = var[b][a] = len(cells)
+            cells.append((a, b))
+
+    prod = L.products_into
+    bracket_map = L.bracket_map
+    rows = []
+    d_w = {}  # (m, k) -> the linear form of D[m][k], m and k edge vectors
+    for i in range(p):
+        prod_i = prod[i]
+        for j in range(i + 1, p):
+            prod_j = prod[j]
+            if not (prod_i or prod_j):
+                continue
+            x = {}
+            for k, terms in prod_j.items():
+                form = x.setdefault(k, {})
+                for u, val in terms:
+                    _add(form, var[u][i], val)
+            for k, terms in prod_i.items():
+                # [v_i, v_u] = -[v_u, v_i]
+                form = x.setdefault(k, {})
+                for u, val in terms:
+                    _add(form, var[u][j], -val)
+            edge = bracket_map.get((i, j))
+            if edge is None:
+                for form in x.values():
+                    row = {v: a for v, a in form.items() if a}
+                    if row:
+                        rows.append(row)
+            else:
+                ((k, c),) = edge.items()
+                for m, form in x.items():
+                    d_w[m, k] = {v: a / c for v, a in form.items() if a}
+
+    for k, m in dict.fromkeys((min(a, b), max(a, b)) for a, b in d_w if a != b):
+        row = {}
+        for v, a in d_w.get((m, k), {}).items():
+            _add(row, v, gram[m][m] * a)
+        for v, a in d_w.get((k, m), {}).items():
+            _add(row, v, -gram[k][k] * a)
+        row = {v: a for v, a in row.items() if a}
+        if row:
+            rows.append(row)
+
+    # expand each solution to flat keys: A in both triangles, then D_W
+    columns = [[(a * n + b, ONE)] + ([(b * n + a, ONE)] if a != b else []) for a, b in cells]
+    for (m, k), form in d_w.items():
+        for v, a in form.items():
+            columns[v].append((m * n + k, a))
+    basis = []
+    for vec in sparse_nullspace(rows, len(cells)):
+        flat = {}
+        for v, x in vec.items():
+            for key, a in columns[v]:
+                _add(flat, key, a * x)
+        basis.append({key: x for key, x in flat.items() if x})
+    return basis
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidArgument
 from .graphs import Graph, Permutation, _search, _stabilizer_chain
 
 
@@ -103,7 +104,7 @@ def graph_classes_with_aut_order(
     product of the orbit sizes along ``1..p`` under the generators its own
     canonical search found."""
     if max_p < 1:
-        raise ValueError("max_p must be >= 1")
+        raise InvalidArgument("max_p must be >= 1")
     # Each class with the automorphisms its canonical search found.
     per_p = {1: [(Graph(p=1, edges=()), [])]}
     for p in range(2, max_p + 1):

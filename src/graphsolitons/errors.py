@@ -72,3 +72,23 @@ class NotPositiveGraph(GraphSolitonsError, ValueError):
 
 class RankDeficientBasis(GraphSolitonsError, ValueError):
     """The rows supplied as a subspace basis are linearly dependent."""
+
+
+class NotAPermutation(GraphSolitonsError, ValueError):
+    """A tuple of images is not a permutation of 1..n."""
+
+
+class InvalidFamilySpec(GraphSolitonsError, ValueError):
+    """A family template's sizes, flags or block pairs are inconsistent."""
+
+
+class InvalidArgument(GraphSolitonsError, ValueError):
+    """A numeric argument lies outside its documented range."""
+
+
+class NotReducedEchelon(GraphSolitonsError, ValueError):
+    """A subspace basis given directly is not in reduced row echelon form."""
+
+
+class SingularMatrix(GraphSolitonsError, ValueError):
+    """A square matrix that must be invertible is singular."""

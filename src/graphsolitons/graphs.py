@@ -24,6 +24,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedLine,
     NotAnAutomorphism,
+    NotAPermutation,
     SelfLoop,
 )
 
@@ -182,7 +183,7 @@ class Permutation:
     def __post_init__(self):
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+            raise NotAPermutation(f"not a permutation of 1..{n}: {self.images}")
 
     @staticmethod
     def identity(n: int) -> "Permutation":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import EmptyEdgeSet, NotSymmetric, UnknownFamily
+from .errors import EmptyEdgeSet, InvalidFamilySpec, NotSymmetric, UnknownFamily
 from .graphs import Graph, coherent_components
 from .rational import ONE, ZERO, frac, leading_minors_all_positive
 
@@ -226,15 +226,15 @@ class FamilySpec:
     def __post_init__(self):
         n = len(self.complete)
         if len(self.sizes) != n:
-            raise ValueError("sizes and complete flags differ in length")
+            raise InvalidFamilySpec("sizes and complete flags differ in length")
         if any(s < 1 for s in self.sizes):
-            raise ValueError("every block needs at least one vertex")
+            raise InvalidFamilySpec("every block needs at least one vertex")
         seen = set()
         for a, b in self.adjacency:
             if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ValueError(f"bad adjacency pair ({a},{b})")
+                raise InvalidFamilySpec(f"bad adjacency pair ({a},{b})")
             if (min(a, b), max(a, b)) in seen:
-                raise ValueError(f"duplicate adjacency pair ({a},{b})")
+                raise InvalidFamilySpec(f"duplicate adjacency pair ({a},{b})")
             seen.add((min(a, b), max(a, b)))
 
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over ``fractions.Fraction``.
 
-Dense helpers (RREF, solve, inverse, leading-minor positivity, characteristic
-polynomial) plus a sparse Gauss-Jordan nullspace solver used for the large,
+Dense helpers (RREF, solve, inverse, leading-minor positivity) plus a sparse
+Gauss-Jordan nullspace solver used for the large,
 very sparse Leibniz systems.  Everything here is pure stdlib and exact; no
 floats enter or leave.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from fractions import Fraction
+
+from .errors import SingularMatrix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,27 +41,6 @@ def parse_fraction(text: str) -> Fraction:
 
 def identity(n: int) -> list[list[Fraction]]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def zeros(rows: int, cols: int) -> list[list[Fraction]]:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def mat_mul(a, b) -> list[list[Fraction]]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j] != 0:
-                    oi[j] += x * bt[j]
-    return out
 
 
 def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
@@ -91,13 +72,13 @@ def rref(mat) -> tuple[list[list[Fraction]], list[int]]:
 def solve_unique(a, b) -> list[Fraction]:
     """Solve the square system ``a x = b`` with a unique solution.
 
-    Raises ValueError if the matrix is singular.
+    Raises :class:`SingularMatrix` if the matrix is singular.
     """
     n = len(a)
     aug = [list(map(frac, row)) + [frac(bv)] for row, bv in zip(a, b)]
     red, pivots = rref(aug)
     if len(pivots) < n or pivots[-1] == n:
-        raise ValueError("matrix is singular")
+        raise SingularMatrix("matrix is singular")
     return [red[i][n] for i in range(n)]
 
 
@@ -106,7 +87,7 @@ def inverse(a) -> list[list[Fraction]]:
     aug = [list(map(frac, row)) + ident_row for row, ident_row in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
+        raise SingularMatrix("matrix is singular")
     return [row[n:] for row in red[:n]]
 
 
@@ -131,29 +112,6 @@ def leading_minors_all_positive(a) -> bool:
                 for j in range(k, n):
                     row_i[j] -= f * row_k[j]
     return True
-
-
-def char_poly(a) -> list[Fraction]:
-    """Characteristic polynomial of a square rational matrix.
-
-    Faddeev-LeVerrier; returns coefficients highest degree first, so
-    ``[1, c_{n-1}, ..., c_0]`` with ``p(t) = t^n + c_{n-1} t^{n-1} + ... + c_0``.
-    """
-    n = len(a)
-    a = [[frac(x) for x in row] for row in a]
-    coeffs = [ONE]
-    m = identity(n)
-    for k in range(1, n + 1):
-        if k > 1:
-            m = mat_mul(a, m)
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-        # trace of a @ m without forming the product
-        tr = ZERO
-        for i in range(n):
-            tr += sum((a[i][j] * m[j][i] for j in range(n) if a[i][j] != 0), ZERO)
-        coeffs.append(-tr / k)
-    return coeffs
 
 
 def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:

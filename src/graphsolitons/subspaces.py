@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     MalformedLine,
     NotPositiveGraph,
+    NotReducedEchelon,
     RankDeficientBasis,
     WeightingMismatch,
 )
@@ -53,7 +54,7 @@ class SubspaceParam:
         _, pivots = rref([list(row) for row in self.basis])
         if len(pivots) < len(self.basis):
             raise RankDeficientBasis("basis rows are linearly dependent")
-        raise ValueError("basis is not in reduced row echelon form; use from_vectors")
+        raise NotReducedEchelon("basis is not in reduced row echelon form; use from_vectors")
 
     @property
     def r(self) -> int:

@@ -68,3 +68,25 @@ def blown_up_graph(rng, p):
         if (complete[a] if a == b else (a, b) in joined):
             edges.append((labels[u], labels[v]))
     return Graph(p=p, edges=tuple(edges))
+
+
+def sparse_rank(vectors) -> int:
+    """Rank of sparse ``{coordinate: value}`` vectors, by elimination on the
+    least coordinate of each; independent of the solvers under test."""
+    pivots = {}  # least coordinate -> a reduced vector with 1 there
+    for vec in vectors:
+        v = {c: x for c, x in vec.items() if x}
+        while v:
+            col = min(v)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = {c: x / v[col] for c, x in v.items()}
+                break
+            f = v[col]
+            for c, x in prow.items():
+                nv = v.get(c, 0) - f * x
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+    return len(pivots)

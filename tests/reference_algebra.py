@@ -1,13 +1,22 @@
-"""Reference Ricci operator, Leibniz rows and soliton check: the dense
-Fraction implementation that inverted the whole Gram matrix through ``rref``,
-formed ``G^-1 F`` and the mean-curvature term as dense n x n products, and
-evaluated every Leibniz functional on the dense Ricci matrix and on the
-identity.  The functions are copied unchanged from the earlier
-implementation and kept as oracles for the sparse ones in
-``graphsolitons.algebra``."""
+"""Reference Ricci operator, Leibniz rows, soliton check and symmetric
+derivations, kept as oracles for ``graphsolitons.algebra``.
+
+- ``ricci``, ``leibniz_rows`` and ``check_soliton``: the dense Fraction
+  implementation that inverted the whole Gram matrix through ``rref``,
+  formed ``G^-1 F`` and the mean-curvature term as dense n x n products, and
+  evaluated every Leibniz functional on the dense Ricci matrix and on the
+  identity.
+- ``symmetric_derivation_nullspace``: the whole Leibniz system plus the
+  n(n-1)/2 symmetry rows, solved in all n^2 matrix entries.
+- ``bracket`` and ``check_jacobi``: the bracket of two sparse vectors and
+  the Jacobi identity on basis triples, straight from the structure table.
+
+The functions are copied from the earlier implementation, the last two
+turned from methods into functions of the algebra."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from graphsolitons.algebra import MetricLieAlgebra, NotSoliton, SolitonCertificate
@@ -228,3 +237,66 @@ def _not_soliton(L, ric, rows) -> NotSoliton:
     _coeffs, resid = lstsq_exact(columns, target)
     residual = max((abs(v) for v in resid.values()), default=ZERO)
     return NotSoliton(residual=residual)
+
+
+def symmetric_derivation_system(L: MetricLieAlgebra) -> list[dict]:
+    """The Leibniz rows plus the symmetry rows ``(G A)_{ij} = (A^T G)_{ij}``
+    for i < j, in the n^2 unknowns ``i * n + j``."""
+    L.vertex_edge_split()  # raises NotGraphAlgebra for any other algebra
+    n = L.n
+    rows = list(L.leibniz)
+    gram_rows = L.gram_rows
+    # symmetry: (G A)_{ij} = (A^T G)_{ij} for i < j
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = {}
+            for u, x in gram_rows[i]:
+                row[u * n + j] = row.get(u * n + j, ZERO) + x
+            for u, x in gram_rows[j]:
+                row[u * n + i] = row.get(u * n + i, ZERO) - x
+            row = {k: v for k, v in row.items() if v != 0}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
+    """Sparse basis of the metric-symmetric derivations: each vector maps a
+    flat index ``i * n + j`` to the (i, j) entry."""
+    return sparse_nullspace(symmetric_derivation_system(L), L.n * L.n)
+
+
+def bracket(L: MetricLieAlgebra, x: dict, y: dict) -> dict:
+    """Bracket of two sparse coordinate vectors."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i == j:
+                continue
+            coeffs = L.bracket_map.get((min(i, j), max(i, j)))
+            if not coeffs:
+                continue
+            sign = 1 if i < j else -1
+            for k, val in coeffs.items():
+                nv = out.get(k, ZERO) + sign * xi * yj * val
+                if nv == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = nv
+    return out
+
+
+def check_jacobi(L: MetricLieAlgebra) -> bool:
+    for i, j, k in itertools.combinations(range(L.n), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            term = bracket(L, {a: ONE}, bracket(L, {b: ONE}, {c: ONE}))
+            for t, v in term.items():
+                nv = total.get(t, ZERO) + v
+                if nv == 0:
+                    total.pop(t, None)
+                else:
+                    total[t] = nv
+        if total:
+            return False
+    return True

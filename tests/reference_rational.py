@@ -4,6 +4,10 @@ every earlier pivot row.
 
 It is kept only as an oracle for ``graphsolitons.rational.sparse_nullspace``,
 which must return an equal basis in the same order.
+
+Also the dense helpers only tests use: ``zeros``, ``mat_mul`` and the
+Faddeev-LeVerrier ``char_poly``, moved here unchanged from
+``graphsolitons.rational``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from graphsolitons.rational import ONE, ZERO, frac
+from graphsolitons.rational import ONE, ZERO, frac, identity
 
 
 def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
@@ -89,3 +93,47 @@ def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
                 vec[pcol] = -coef
         basis.append(vec)
     return basis
+
+
+def zeros(rows: int, cols: int) -> list[list[Fraction]]:
+    return [[ZERO] * cols for _ in range(rows)]
+
+
+def mat_mul(a, b) -> list[list[Fraction]]:
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = zeros(n, m)
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            x = ai[t]
+            if x == 0:
+                continue
+            bt = b[t]
+            for j in range(m):
+                if bt[j] != 0:
+                    oi[j] += x * bt[j]
+    return out
+
+
+def char_poly(a) -> list[Fraction]:
+    """Characteristic polynomial of a square rational matrix.
+
+    Faddeev-LeVerrier; returns coefficients highest degree first, so
+    ``[1, c_{n-1}, ..., c_0]`` with ``p(t) = t^n + c_{n-1} t^{n-1} + ... + c_0``.
+    """
+    n = len(a)
+    a = [[frac(x) for x in row] for row in a]
+    coeffs = [ONE]
+    m = identity(n)
+    for k in range(1, n + 1):
+        if k > 1:
+            m = mat_mul(a, m)
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+        # trace of a @ m without forming the product
+        tr = ZERO
+        for i in range(n):
+            tr += sum((a[i][j] * m[j][i] for j in range(n) if a[i][j] != 0), ZERO)
+        coeffs.append(-tr / k)
+    return coeffs

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from graphsolitons import (
+    TABLE_ROWS,
     DegenerateGram,
     DimensionMismatch,
+    FamilySpec,
     Graph,
     MetricLieAlgebra,
     NotGraphAlgebra,
@@ -15,7 +17,9 @@ from graphsolitons import (
     check_soliton,
     coherent_components,
     derivation_space,
+    family_graph,
     graph_algebra,
+    graph_classes,
     graph_ricci_diagonal,
     is_derivation,
     is_positive,
@@ -24,18 +28,22 @@ from graphsolitons import (
     solve_weights,
     symmetric_derivation_dimension,
 )
-from graphsolitons.rational import mat_mul, rref
-from conftest import F
+from graphsolitons.algebra import symmetric_derivation_nullspace
+from graphsolitons.rational import rref
+from conftest import F, blown_up_graph, sparse_rank
+import reference_algebra
+from reference_algebra import bracket, check_jacobi
+from reference_rational import mat_mul
 
 
 def _dense_derivation_dim(L):
     """Independent oracle: build the Leibniz system as a dense matrix using
-    only L.bracket on basis vectors, then count n^2 minus its rank."""
+    only the reference bracket on basis vectors, then count n^2 minus its rank."""
     n = L.n
     basis = [{a: F(1)} for a in range(n)]
 
     def br(a, b):
-        out = L.bracket(basis[a], basis[b])
+        out = bracket(L, basis[a], basis[b])
         return [out.get(t, F(0)) for t in range(n)]
 
     rows = []
@@ -67,9 +75,9 @@ def test_graph_algebra_k2_is_heisenberg(k2):
     assert L.n == 3
     assert L.labels == ("v1", "v2", "e1")
     assert L.gram == ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
-    assert L.bracket({0: F(1)}, {1: F(1)}) == {2: F(1)}
-    assert L.bracket({1: F(1)}, {0: F(1)}) == {2: F(-1)}
-    assert L.bracket({2: F(1)}, {0: F(1)}) == {}
+    assert bracket(L, {0: F(1)}, {1: F(1)}) == {2: F(1)}
+    assert bracket(L, {1: F(1)}, {0: F(1)}) == {2: F(-1)}
+    assert bracket(L, {2: F(1)}, {0: F(1)}) == {}
 
 
 def test_graph_algebra_weighted_gram(paw):
@@ -92,7 +100,7 @@ def test_graph_algebra_weighting_mismatch(paw, k2):
 def test_graph_algebra_edgeless_abelian():
     L = graph_algebra(Graph(p=3, edges=()))
     assert L.n == 3 and L.brackets == ()
-    assert L.bracket({0: F(1)}, {1: F(1)}) == {}
+    assert bracket(L, {0: F(1)}, {1: F(1)}) == {}
 
 
 def test_metric_lie_algebra_validation():
@@ -121,7 +129,7 @@ def test_metric_lie_algebra_validation():
 
 def test_jacobi_on_graph_algebras(connected_classes_p5):
     for g in connected_classes_p5[:12]:
-        assert graph_algebra(g).check_jacobi()
+        assert check_jacobi(graph_algebra(g))
 
 
 def test_vertex_edge_split(paw):
@@ -294,6 +302,98 @@ def test_symmetric_derivation_rejects_non_graph_algebra():
     )
     with pytest.raises(NotGraphAlgebra):
         symmetric_derivation_dimension(L)
+
+
+def test_symmetric_derivation_rejects_non_diagonal_edge_gram(paw):
+    # graph labels and graph brackets, but e1 and e2 are not orthogonal
+    L = graph_algebra(paw)
+    gram = [list(row) for row in L.gram]
+    gram[4][5] = gram[5][4] = F(1, 2)
+    skewed = MetricLieAlgebra(
+        n=L.n, labels=L.labels, brackets=L.brackets, gram=tuple(map(tuple, gram))
+    )
+    assert skewed.vertex_edge_split() == (4, 4)
+    with pytest.raises(NotGraphAlgebra):
+        symmetric_derivation_nullspace(skewed)
+    with pytest.raises(NotGraphAlgebra):
+        symmetric_derivation_dimension(skewed)
+
+
+# ------------------------------------- symmetric derivations against the oracle
+
+def _random_edge_metric(g, rng):
+    """The graph algebra of g with seeded, mostly unequal, edge weights: the
+    nilsoliton weights agree on the edges that twins make, these need not."""
+    L = graph_algebra(g)
+    diag = [F(1)] * g.p + [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(g.q)]
+    gram = tuple(tuple(diag[i] if i == j else F(0) for j in range(L.n)) for i in range(L.n))
+    return MetricLieAlgebra(n=L.n, labels=L.labels, brackets=L.brackets, gram=gram)
+
+
+def _assert_symmetric_derivations_match_oracle(g):
+    """The generator construction against the n^2-unknown oracle, with the
+    canonical metric, with seeded edge weights and, when g is positive,
+    with its nilsoliton weights: equal dimension, equal span, and every
+    basis matrix a G-symmetric derivation."""
+    weighting = is_positive(g).weighting
+    metrics = [graph_algebra(g), _random_edge_metric(g, random.Random(g.p * 1009 + g.q))]
+    if weighting is not None:
+        metrics.append(graph_algebra(g, weighting))
+    for L in metrics:
+        got = symmetric_derivation_nullspace(L)
+        want = reference_algebra.symmetric_derivation_nullspace(L)
+        assert len(got) == len(want) == sparse_rank(got) == sparse_rank(want)
+        assert sparse_rank(got + want) == len(want)
+        dim, basis = symmetric_derivation_dimension(L)
+        assert dim == len(got) and len(basis) == dim
+        gram = [list(row) for row in L.gram]
+        for mat in basis:
+            assert is_derivation(L, mat)
+            form = mat_mul(gram, mat)
+            assert all(form[a][b] == form[b][a] for a in range(L.n) for b in range(a))
+
+
+def test_symmetric_derivations_match_oracle_on_every_graph_up_to_p6():
+    classes = graph_classes(6, connected_only=False)
+    assert len(classes) == 1 + 2 + 4 + 11 + 34 + 156
+    # one edge and an isolated vertex among them
+    assert any(g.p == 3 and g.q == 1 for g in classes)
+    for g in classes:
+        _assert_symmetric_derivations_match_oracle(g)
+
+
+def test_symmetric_derivations_match_oracle_on_random_positive_graphs():
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 16:
+        p = rng.randint(7, 10)
+        if checked % 2:
+            g = blown_up_graph(rng, p)
+        else:
+            density = rng.choice((0.3, 0.5, 0.7))
+            g = Graph(
+                p=p,
+                edges=tuple(
+                    (i, j)
+                    for i in range(1, p + 1)
+                    for j in range(i + 1, p + 1)
+                    if rng.random() < density
+                ),
+            )
+        if g.q and is_positive(g).positive:
+            _assert_symmetric_derivations_match_oracle(g)
+            checked += 1
+
+
+def test_symmetric_derivations_match_oracle_on_family_and_edgeless_graphs():
+    for row in TABLE_ROWS:
+        for size in (2, 3):
+            sizes = (size,) * len(row.complete)
+            _assert_symmetric_derivations_match_oracle(
+                family_graph(FamilySpec(row.complete, row.adjacency, sizes))
+            )
+    for p in range(1, 9):
+        _assert_symmetric_derivations_match_oracle(Graph(p=p, edges=()))
 
 
 # ---------------------------------------------------------------- solitons

@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 
 from graphsolitons import (
+    FamilySpec,
     Graph,
     SubspaceParam,
     algebra,
     automorphisms,
     census,
     cli,
+    family_graph,
     graphs,
     solve_weights,
     subspaces,
@@ -220,6 +222,33 @@ def test_analyze_k13_reports_no_aut_order(tmp_path, capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["aut_order"] is None and report["sym_derivation_dim"] == 13 * 14 // 2
+
+
+def _relabelled_family_text():
+    # K3 - discrete 2 - K2 path template, vertex v sent to images[v - 1]
+    g = family_graph(FamilySpec((True, False, True), ((0, 1), (1, 2)), (3, 2, 2)))
+    images = (5, 2, 7, 1, 6, 3, 4)
+    return f"{g.p}\n" + "".join(f"{images[i - 1]} {images[j - 1]}\n" for i, j in g.edges)
+
+
+@pytest.mark.parametrize(
+    "name, text, sym_dim, digest",
+    [
+        ("k12", _complete_graph_text(12), 78,
+         "00879a302e5b6b801880ffa71a5bd821d05d67c67dfa0e27eb4705397900a6e7"),
+        ("edgeless100", "100\n", 5050,
+         "71fc51e4361a5279cb844c26a390c2cf94209990d3673607a581db8e4d311ac5"),
+        ("family7", _relabelled_family_text(), 12,
+         "08d42e806e676e54faf472793f57c430c9cad4fec1d1564d6b98077c4e31f507"),
+    ],
+)
+def test_analyze_golden(tmp_path, capsys, name, text, sym_dim, digest):
+    # sha256 of stdout as written when the symmetric derivations were
+    # counted by the Leibniz system plus symmetry rows in n^2 unknowns
+    code, out, err = _run(capsys, ["analyze", _write(tmp_path, f"{name}.graph", text)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["sym_derivation_dim"] == sym_dim
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_long_malformed_line_gives_short_error(tmp_path, capsys):

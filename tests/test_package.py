@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import graphsolitons
-from conftest import PAW_TEXT
+from graphsolitons import (
+    FamilySpec,
+    GraphSolitonsError,
+    Permutation,
+    SubspaceParam,
+    graph_classes,
+)
+from graphsolitons.rational import inverse, solve_unique
+from conftest import F, PAW_TEXT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(graphsolitons.__file__).resolve().parent
@@ -76,3 +84,27 @@ def test_cli_runs_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert '"soliton": true' in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: Permutation((1, 1, 3)), graphsolitons.NotAPermutation),
+        (lambda: FamilySpec((True,), (), (2, 2)), graphsolitons.InvalidFamilySpec),
+        (lambda: FamilySpec((True,), (), (0,)), graphsolitons.InvalidFamilySpec),
+        (lambda: FamilySpec((True, False), ((0, 2),), (2, 1)), graphsolitons.InvalidFamilySpec),
+        (lambda: FamilySpec((True, False), ((0, 1), (1, 0)), (2, 1)),
+         graphsolitons.InvalidFamilySpec),
+        (lambda: graph_classes(0), graphsolitons.InvalidArgument),
+        (lambda: SubspaceParam(2, ((F(0), F(1)), (F(1), F(0)))), graphsolitons.NotReducedEchelon),
+        (lambda: solve_unique([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]),
+         graphsolitons.SingularMatrix),
+        (lambda: inverse([[F(1), F(2)], [F(2), F(4)]]), graphsolitons.SingularMatrix),
+    ],
+)
+def test_library_errors_raise_both_base_classes(make, error):
+    # a library caller catches GraphSolitonsError; older code caught ValueError
+    with pytest.raises(error) as info:
+        make()
+    assert isinstance(info.value, GraphSolitonsError)
+    assert isinstance(info.value, ValueError)

@@ -9,6 +9,7 @@ import copy
 import random
 from fractions import Fraction
 
+import reference_algebra
 import reference_rational
 from graphsolitons import (
     Graph,
@@ -21,7 +22,7 @@ from graphsolitons import (
 )
 from graphsolitons.algebra import symmetric_derivation_nullspace
 from graphsolitons.rational import ZERO, sparse_nullspace
-from conftest import PAW_EDGES, blown_up_graph
+from conftest import PAW_EDGES, blown_up_graph, sparse_rank
 
 
 def _assert_same_basis(rows, ncols):
@@ -94,16 +95,22 @@ def _reference_symmetric_system(L):
 
 def _check_graph_systems(g):
     """Leibniz and symmetric systems of g, with the canonical metric and,
-    when g is positive, with its nilsoliton weights."""
+    when g is positive, with its nilsoliton weights.  The symmetric system
+    is the oracle's, in all n^2 matrix entries; the package's own
+    symmetric derivations, solved on the generators, must span the same
+    space."""
     weighting = is_positive(g).weighting
     for w in (None,) if weighting is None else (None, weighting):
         L = graph_algebra(g, w)
         assert list(L.leibniz) == leibniz_rows(L)
         _assert_same_basis(list(L.leibniz), L.n * L.n)
+        # the oracle's n^2-unknown symmetric system, solved by both solvers
+        rows = reference_algebra.symmetric_derivation_system(L)
+        assert rows == _reference_symmetric_system(L)
+        want = _assert_same_basis(rows, L.n * L.n)
+        # the generator construction spans the same space
         got = symmetric_derivation_nullspace(L)
-        want = reference_rational.sparse_nullspace(_reference_symmetric_system(L), L.n * L.n)
-        assert got == want
-        assert [list(vec) for vec in got] == [list(vec) for vec in want]
+        assert len(got) == len(want) == sparse_rank(got) == sparse_rank(got + want)
 
 
 def test_sparse_nullspace_matches_reference_on_every_small_graph():

@@ -11,8 +11,11 @@ curvature vector (``<H,x> = tr ad_x``), and ``S`` the metric symmetrization
 sparsely: G^-1 is inverted block by block over the connected components of
 the Gram matrix's nonzero pattern (a diagonal Gram costs one division per
 basis vector), and every product in Ric pairs only entries that share a
-nonzero.  The soliton check evaluates each Leibniz functional on the
-nonzeros of Ric alone.
+nonzero.  The soliton check lists, straight from the structure tables, only
+the Leibniz rows that meet a nonzero of Ric or a diagonal entry (q rows on
+a graph algebra) and evaluates them on those entries alone.  The whole
+Leibniz system is built only by :func:`derivation_space`,
+:func:`is_derivation` and the least squares of a failed check.
 
 A metric algebra is a *Ricci soliton* when ``Ric = c I + D`` for a scalar c
 and a derivation D.  Membership of ``Ric - c I`` in the derivation algebra is
@@ -61,6 +64,8 @@ class MetricLieAlgebra:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DimensionMismatch(f"algebra dimension {self.n} < 1")
         if len(self.labels) != self.n or len(self.gram) != self.n:
             raise DimensionMismatch("labels/gram size does not match n")
         if any(len(row) != self.n for row in self.gram):
@@ -135,7 +140,10 @@ class MetricLieAlgebra:
     @cached_property
     def leibniz(self) -> tuple[dict[int, Fraction], ...]:
         """The rows of :func:`leibniz_rows`, built once per algebra and
-        shared, so no caller may change them."""
+        shared, so no caller may change them.  Read by
+        :func:`derivation_space`, :func:`is_derivation` and the least
+        squares of a failed :func:`check_soliton`; a successful check
+        never builds it."""
         return tuple(leibniz_rows(self))
 
     @cached_property
@@ -323,13 +331,43 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
     return dense
 
 
-def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
-    """The Leibniz system for D in flat coordinates (variable k*n+u is the
-    matrix entry D[k][u]).  One row per basis pair (i < j) and output
-    coordinate k with any nonzero term:
+def _leibniz_pair_rows(L: MetricLieAlgebra, i: int, j: int, ks) -> list[dict[int, Fraction]]:
+    """The nonzero Leibniz functionals of the basis pair i < j at the output
+    coordinates k of ``ks``, in order, in flat coordinates (variable a*n+b
+    is the matrix entry D[a][b]), zero coefficients dropped:
 
         sum_u c^u_{ij} D[k][u]  -  sum_u c^k_{uj} D[u][i]  -  sum_u c^k_{iu} D[u][j]  =  0
     """
+    n = L.n
+    prod_i = L.products_into[i]
+    prod_j = L.products_into[j]
+    coeffs = L.bracket_map.get((i, j))
+    rows = []
+    for k in ks:
+        row = {}
+        if coeffs:
+            for u, val in coeffs.items():
+                row[k * n + u] = val
+        for u, val in prod_j.get(k, ()):
+            key = u * n + i
+            old = row.get(key)
+            row[key] = -val if old is None else old - val
+        for u, val in prod_i.get(k, ()):
+            # c^k_{iu} = -c^k_{ui} = -val
+            key = u * n + j
+            old = row.get(key)
+            row[key] = val if old is None else old + val
+        if not all(row.values()):
+            row = {key: v for key, v in row.items() if v != 0}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
+    """The Leibniz system for D in flat coordinates: the rows of
+    :func:`_leibniz_pair_rows`, one per basis pair (i < j) and output
+    coordinate k with any nonzero term."""
     n = L.n
     prod = L.products_into
     bracket_map = L.bracket_map
@@ -339,31 +377,42 @@ def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
         prod_i = prod[i]
         for j in range(i + 1, n):
             prod_j = prod[j]
-            coeffs = bracket_map.get((i, j))
-            if coeffs:
+            if bracket_map.get((i, j)):
                 ks = every_k
-            elif coeffs is not None or prod_i or prod_j:
+            elif prod_i or prod_j:
                 ks = sorted(prod_j.keys() | prod_i.keys())
             else:
                 continue
-            for k in ks:
-                row = {}
-                if coeffs:
-                    for u, val in coeffs.items():
-                        row[k * n + u] = val
-                for u, val in prod_j.get(k, ()):
-                    key = u * n + i
-                    old = row.get(key)
-                    row[key] = -val if old is None else old - val
-                for u, val in prod_i.get(k, ()):
-                    # c^k_{iu} = -c^k_{ui} = -val
-                    key = u * n + j
-                    old = row.get(key)
-                    row[key] = val if old is None else old + val
-                if not all(row.values()):
-                    row = {key: v for key, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
+            rows.extend(_leibniz_pair_rows(L, i, j, ks))
+    return rows
+
+
+def _leibniz_rows_meeting(L: MetricLieAlgebra, keys) -> list[dict[int, Fraction]]:
+    """The rows of :func:`leibniz_rows` that hold at least one flat key of
+    ``keys`` (a set), each once, listed straight from the structure tables.
+
+    Key a*n+b, the entry D[a][b], enters row (i, j, k) in two ways only:
+    as D[k][u] with k = a and u = b, when [b_i, b_j] has a b-component;
+    or as D[u][i] or D[u][j] with u = a, when the pair is {b, x} and
+    c^k_{ax} != 0, which ``L.ad_entries[a]`` lists.
+    """
+    n = L.n
+    ads = L.ad_entries
+    found = {}  # (i, j) -> the output coordinates k, each once
+    by_col = {}  # b -> the rows a of the keys a*n+b in column b
+    for key in keys:
+        a, b = divmod(key, n)
+        by_col.setdefault(b, []).append(a)
+        for k, x, _val in ads[a]:
+            if x != b:
+                found.setdefault((b, x) if b < x else (x, b), {})[k] = None
+    for i, j, coeffs in L.brackets:
+        for u, _val in coeffs:
+            for a in by_col.get(u, ()):
+                found.setdefault((i, j), {})[a] = None
+    rows = []
+    for (i, j), ks in found.items():
+        rows.extend(row for row in _leibniz_pair_rows(L, i, j, ks) if not keys.isdisjoint(row))
     return rows
 
 
@@ -471,8 +520,9 @@ def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
                         rows.append(row)
             else:
                 ((k, c),) = edge.items()
+                unit = c == ONE
                 for m, form in x.items():
-                    d_w[m, k] = {v: a / c for v, a in form.items() if a}
+                    d_w[m, k] = {v: a if unit else a / c for v, a in form.items() if a}
 
     for k, m in dict.fromkeys((min(a, b), max(a, b)) for a, b in d_w if a != b):
         row = {}
@@ -523,7 +573,10 @@ def check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
 
     ``Ric - c I`` must satisfy every Leibniz functional, which is linear in
     c; the unique candidate (or the traceless choice when the identity is
-    itself a derivation) is checked exactly.  Returns a
+    itself a derivation) is checked exactly.  Only the functionals that
+    hold a nonzero of Ric or a diagonal entry can fail, so only those rows
+    are listed (:func:`_leibniz_rows_meeting`); the whole system is built
+    for the least squares of a negative answer alone.  Returns a
     :class:`SolitonCertificate` with residual 0, or :class:`NotSoliton` with
     the exact max-norm residual of the least-squares projection.
     """
@@ -531,13 +584,12 @@ def check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
     ric = ricci(L)
     ric_nz = {i * n + j: v for i, row in enumerate(ric) for j, v in enumerate(row) if v}
     # Each Leibniz functional at Ric (rv) and at I (iv: the sum of the
-    # row's diagonal keys, k * n + k = k * (n + 1)); rows where both vanish
-    # hold for every c and are dropped.
+    # row's diagonal keys, k * n + k = k * (n + 1)); a row that holds no
+    # probe key vanishes at both, and rows where both vanish hold for every
+    # c and are dropped.
     probe = ric_nz.keys() | {k * (n + 1) for k in range(n)}
     vals = []
-    for row in L.leibniz:
-        if probe.isdisjoint(row):
-            continue
+    for row in _leibniz_rows_meeting(L, probe):
         rv = iv = ZERO
         for key, v in row.items():
             x = ric_nz.get(key)

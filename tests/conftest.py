@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphsolitons import Graph, graph_classes
+from graphsolitons import Graph, MetricLieAlgebra, graph_algebra, graph_classes
 
 # Triangle 1-2-3 with a pendant edge 3-4 ("paw"), edges ordered so the edge
 # weights come out (1/6, 1/6, 1/3, 1/3).
@@ -50,6 +50,19 @@ def connected_classes_p6():
 
 def F(num, den=1) -> Fraction:
     return Fraction(num, den)
+
+
+def p3_and_k3_with_off_diagonal_gram():
+    """The graph algebras of P3 and K3 with <v1, v2> = 1/2, the rest of the
+    Gram the identity: neither is a soliton (residual 1/3)."""
+    for edges in (((1, 3), (2, 3)), ((1, 2), (1, 3), (2, 3))):
+        base = graph_algebra(Graph(p=3, edges=edges))
+        n = base.n
+        gram = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+        gram[0][1] = gram[1][0] = F(1, 2)
+        yield MetricLieAlgebra(
+            n=n, labels=base.labels, brackets=base.brackets, gram=tuple(map(tuple, gram))
+        )
 
 
 def blown_up_graph(rng, p):

@@ -127,6 +127,16 @@ def test_metric_lie_algebra_validation():
         )
 
 
+def test_zero_dimensional_algebra_is_refused():
+    # the traceless choice of c in check_soliton divides by n
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch, match="< 1"):
+            MetricLieAlgebra(n=n, labels=(), brackets=(), gram=())
+    L = MetricLieAlgebra(n=1, labels=("a",), brackets=(), gram=((F(2),),))
+    result = check_soliton(L)
+    assert isinstance(result, SolitonCertificate) and result.c == 0
+
+
 def test_jacobi_on_graph_algebras(connected_classes_p5):
     for g in connected_classes_p5[:12]:
         assert check_jacobi(graph_algebra(g))
@@ -323,11 +333,16 @@ def test_symmetric_derivation_rejects_non_diagonal_edge_gram(paw):
 
 def _random_edge_metric(g, rng):
     """The graph algebra of g with seeded, mostly unequal, edge weights: the
-    nilsoliton weights agree on the edges that twins make, these need not."""
+    nilsoliton weights agree on the edges that twins make, these need not.
+    Its brackets are [v_i, v_j] = c e_k with seeded c, mostly c != 1."""
     L = graph_algebra(g)
     diag = [F(1)] * g.p + [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(g.q)]
     gram = tuple(tuple(diag[i] if i == j else F(0) for j in range(L.n)) for i in range(L.n))
-    return MetricLieAlgebra(n=L.n, labels=L.labels, brackets=L.brackets, gram=gram)
+    brackets = tuple(
+        (i, j, ((k, rng.choice((F(1), F(2), F(-1, 2), F(3, 4)))),))
+        for i, j, ((k, _c),) in L.brackets
+    )
+    return MetricLieAlgebra(n=L.n, labels=L.labels, brackets=brackets, gram=gram)
 
 
 def _assert_symmetric_derivations_match_oracle(g):

@@ -12,6 +12,7 @@ from graphsolitons import (
     FamilySpec,
     Graph,
     SubspaceParam,
+    Weighting,
     algebra,
     automorphisms,
     census,
@@ -22,7 +23,7 @@ from graphsolitons import (
     subspaces,
 )
 from graphsolitons.cli import main
-from conftest import PAW_TEXT
+from conftest import PAW_TEXT, p3_and_k3_with_off_diagonal_gram
 import reference_graphs
 
 NONPOS_TEXT = "5\n1 4\n1 5\n2 4\n2 5\n3 4\n3 5\n4 5\n"
@@ -153,8 +154,9 @@ def test_analyze_counts_derivations_without_dense_basis(tmp_path, capsys, monkey
         assert json.loads(out)["sym_derivation_dim"] == p * (p + 1) // 2
 
 
-def test_analyze_builds_leibniz_system_once(tmp_path, capsys, monkeypatch):
-    # the soliton check and the symmetric derivations share one system
+def test_soliton_check_builds_no_full_leibniz_system(tmp_path, capsys, monkeypatch):
+    # the check reads only the Leibniz rows that meet Ric or the diagonal;
+    # only a failed check builds the whole system, for the least squares
     built = []
     original = algebra.leibniz_rows
 
@@ -163,9 +165,25 @@ def test_analyze_builds_leibniz_system_once(tmp_path, capsys, monkeypatch):
         return original(L)
 
     monkeypatch.setattr(algebra, "leibniz_rows", counting)
-    code, out, err = _run(capsys, ["analyze", _write(tmp_path, "paw.graph", PAW_TEXT)])
+    paw = _write(tmp_path, "paw.graph", PAW_TEXT)
+    code, out, err = _run(capsys, ["analyze", paw])
     assert code == 0 and err == ""
-    assert json.loads(out)["sym_derivation_dim"] == 5 and built == [8]
+    assert json.loads(out)["sym_derivation_dim"] == 5
+    k8 = _write(tmp_path, "k8.graph", _complete_graph_text(8))
+    code, out, err = _run(capsys, ["analyze", k8])
+    assert code == 0 and err == ""
+    assert json.loads(out)["soliton"]["residual"] == "0"
+    code, out, err = _run(
+        capsys, ["solsoliton", paw, "--subspace", _write(tmp_path, "s.vec", "1 0 2 0\n0 1 0 -1\n")]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["soliton"] is True
+    assert built == []
+
+    L = next(p3_and_k3_with_off_diagonal_gram())
+    result = algebra.check_soliton(L)
+    assert isinstance(result, algebra.NotSoliton) and result.residual == Fraction(1, 3)
+    assert built == [L.n]
 
 
 def test_aut_order_is_counted_without_listing_the_group(tmp_path, capsys, monkeypatch):
@@ -231,6 +249,16 @@ def _relabelled_family_text():
     return f"{g.p}\n" + "".join(f"{images[i - 1]} {images[j - 1]}\n" for i, j in g.edges)
 
 
+def _random_positive_graph_text(seed, p, density):
+    # a seeded positive G(p, m) with m = density * C(p, 2) edges
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(1, p + 1), 2))
+    while True:
+        g = Graph(p=p, edges=tuple(rng.sample(pairs, round(density * len(pairs)))))
+        if isinstance(solve_weights(g), Weighting):
+            return f"{p}\n" + "".join(f"{i} {j}\n" for i, j in g.edges)
+
+
 @pytest.mark.parametrize(
     "name, text, sym_dim, digest",
     [
@@ -240,11 +268,16 @@ def _relabelled_family_text():
          "71fc51e4361a5279cb844c26a390c2cf94209990d3673607a581db8e4d311ac5"),
         ("family7", _relabelled_family_text(), 12,
          "08d42e806e676e54faf472793f57c430c9cad4fec1d1564d6b98077c4e31f507"),
+        ("gnp10", _random_positive_graph_text(10, 10, 0.8), 11,
+         "a84654e29a87e4c891ccbc6fa572ae4e72f09b1fc2545d8349d3f69021964f60"),
+        ("gnp9", _random_positive_graph_text(9, 9, 0.6), 10,
+         "886a28f77a85994e21c93c19b49a9fa0ddfaa8d605b3c99babc507a2cdeb608a"),
     ],
 )
 def test_analyze_golden(tmp_path, capsys, name, text, sym_dim, digest):
     # sha256 of stdout as written when the symmetric derivations were
-    # counted by the Leibniz system plus symmetry rows in n^2 unknowns
+    # counted by the Leibniz system plus symmetry rows in n^2 unknowns (the
+    # random graphs: when the soliton check read the whole Leibniz system)
     code, out, err = _run(capsys, ["analyze", _write(tmp_path, f"{name}.graph", text)])
     assert code == 0 and err == ""
     assert json.loads(out)["sym_derivation_dim"] == sym_dim

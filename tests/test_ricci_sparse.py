@@ -4,6 +4,7 @@ Ricci diagonal of graph algebras against the general formula."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from graphsolitons import (
     NotSoliton,
     SolitonCertificate,
     SubspaceParam,
+    algebra,
     build_solsoliton,
     check_soliton,
     einstein_direction,
@@ -27,7 +29,7 @@ from graphsolitons import (
     solve_weights,
 )
 from graphsolitons.rational import leading_minors_all_positive
-from conftest import F
+from conftest import F, p3_and_k3_with_off_diagonal_gram
 import reference_algebra
 
 
@@ -154,12 +156,8 @@ def test_off_diagonal_ricci_failing_only_rows_free_of_the_identity():
     # P3 and K3 with <v1, v2> = 1/2: every Leibniz row that involves the
     # identity agrees on one c, and only rows whose value at I is 0 fail,
     # so the check must test those rows at Ric too.
-    for edges in (((1, 3), (2, 3)), ((1, 2), (1, 3), (2, 3))):
-        base = graph_algebra(Graph(p=3, edges=edges))
-        n = base.n
-        gram = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
-        gram[0][1] = gram[1][0] = F(1, 2)
-        L = _with_gram(base, gram)
+    for L in p3_and_k3_with_off_diagonal_gram():
+        n = L.n
         ric = reference_algebra.ricci(L)
         eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
         vals = [
@@ -170,6 +168,45 @@ def test_off_diagonal_ricci_failing_only_rows_free_of_the_identity():
         assert any(rv for rv, iv in vals if not iv)
         result = _assert_matches_reference(L)
         assert isinstance(result, NotSoliton) and result.residual == F(1, 3)
+
+
+def _row_selection_algebras(rng):
+    for g in graph_classes(5, connected_only=False):
+        for w in _metrics(g):
+            yield graph_algebra(g, w)
+    paw = Graph(p=4, edges=((2, 3), (1, 3), (1, 2), (3, 4)))
+    c4 = Graph(p=4, edges=((1, 2), (2, 3), (3, 4), (1, 4)))
+    k4 = Graph(p=4, edges=tuple(itertools.combinations(range(1, 5), 2)))
+    for g in (paw, c4, k4):
+        w = solve_weights(g)
+        for r in (1, 2, 3):
+            yield build_solsoliton(g, w, _random_subspace(rng, g.p, r))
+    yield from p3_and_k3_with_off_diagonal_gram()
+
+
+def _as_items(rows):
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+def test_rows_meeting_keys_are_the_full_systems_rows_that_hold_them():
+    # The soliton check lists only the Leibniz rows that hold a nonzero of
+    # Ric or a diagonal entry; they must be exactly the rows of the whole
+    # system that do, each once, for the check's probe and for any key set.
+    rng = random.Random(13)
+    checked = 0
+    for L in _row_selection_algebras(rng):
+        n = L.n
+        full = leibniz_rows(L)
+        ric = ricci(L)
+        probe = {i * n + j for i, row in enumerate(ric) for j, x in enumerate(row) if x}
+        probe |= {k * (n + 1) for k in range(n)}
+        key_sets = [probe]
+        key_sets += [set(rng.sample(range(n * n), rng.randint(1, n))) for _ in range(4)]
+        for keys in key_sets:
+            expected = _as_items(row for row in full if not keys.isdisjoint(row))
+            assert _as_items(algebra._leibniz_rows_meeting(L, keys)) == expected
+            checked += bool(expected)
+    assert checked > 300
 
 
 def test_gram_blocks_split_the_nonzero_pattern():

@@ -21,7 +21,13 @@ from .algebra import (
     ricci,
     symmetric_derivation_dimension,
 )
-from .census import canonical_form, graph_classes, graph_classes_with_aut_order, is_connected
+from .census import (
+    MAX_CENSUS_P,
+    canonical_form,
+    graph_classes,
+    graph_classes_with_aut_order,
+    is_connected,
+)
 from .errors import (
     DegenerateGram,
     DimensionMismatch,

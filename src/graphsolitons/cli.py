@@ -20,7 +20,7 @@ from .algebra import (
     graph_algebra,
     symmetric_derivation_nullspace,
 )
-from .census import graph_classes_with_aut_order
+from .census import MAX_CENSUS_P, graph_classes_with_aut_order
 from .errors import GraphSolitonsError, GroupTooLarge
 from .graphs import Graph, automorphism_order, coherent_components, parse_graph
 from .positivity import (
@@ -305,7 +305,10 @@ def main(argv=None) -> int:
 
     p_census = sub.add_parser("census", help="enumerate small graph classes to JSONL")
     p_census.add_argument(
-        "--max-p", type=_positive_int, required=True, help="largest vertex count (>= 1)"
+        "--max-p",
+        type=_positive_int,
+        required=True,
+        help=f"largest vertex count (1..{MAX_CENSUS_P})",
     )
     p_census.add_argument("--all", action="store_true", help="include disconnected classes")
     p_census.add_argument(

@@ -1,13 +1,19 @@
 import itertools
+import math
 import random
+import time
 from collections import Counter
+
+import pytest
 
 import reference_census
 import reference_graphs
 from conftest import blown_up_graph
 from graphsolitons import (
     Graph,
+    InvalidArgument,
     canonical_form,
+    census,
     graph_classes,
     graph_classes_with_aut_order,
     is_connected,
@@ -18,6 +24,8 @@ from graphsolitons import (
 # A000088 (all).
 A001349 = [1, 1, 2, 6, 21, 112, 853]
 A000088 = [1, 2, 4, 11, 34, 156, 1044]
+# Labelled connected graphs on p = 1..8 vertices: OEIS A001187.
+A001187 = [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
 
 
 def _check_against_reference(g):
@@ -200,3 +208,55 @@ def test_canonical_generators_are_strong_on_seeded_graphs():
     # twin-rich graphs, whose groups are large
     for _ in range(40):
         _check_generators_are_strong(blown_up_graph(rng, rng.randint(2, 8)))
+
+
+def test_census_matches_generate_and_dedupe_reference():
+    # the same (Graph, |Aut|) pairs in the same order as the census that
+    # searched every candidate and kept the first of each canonical form
+    for connected_only in (True, False):
+        for max_p in range(1, 8):
+            assert graph_classes_with_aut_order(max_p, connected_only) == (
+                reference_census.graph_classes_with_aut_order(max_p, connected_only)
+            )
+
+
+def test_census_refuses_a_class_accepted_twice(monkeypatch):
+    # Extending by every neighbourhood, not one per orbit of the parent's
+    # automorphisms, passes isomorphic candidates to the acceptance test
+    # more than once; the census must raise rather than list a class twice.
+    monkeypatch.setattr(census, "_mask_orbit_minima", lambda n, gens: list(range(1 << n)))
+    with pytest.raises(RuntimeError, match="on 3 vertices"):
+        graph_classes_with_aut_order(3, connected_only=False)
+
+
+def test_census_up_to_eight_vertices_matches_oeis_and_orbit_stabilizer():
+    # Anchors that use no code from this package: the class counts, and
+    # orbit-stabilizer, by which p!/|Aut G| labelled graphs fall in the class
+    # of G, so the classes on p vertices sum to all 2^C(p,2) labelled graphs
+    # and the connected ones to the labelled connected graphs.
+    start = time.perf_counter()
+    pairs = graph_classes_with_aut_order(8, connected_only=False)
+    elapsed = time.perf_counter() - start
+    connected = Counter(g.p for g, _ in pairs if is_connected(g))
+    everything = Counter(g.p for g, _ in pairs)
+    assert [connected[p] for p in range(1, 9)] == A001349 + [11117]
+    assert [everything[p] for p in range(1, 9)] == A000088 + [12346]
+    labelled = Counter()
+    labelled_connected = Counter()
+    for g, order in pairs:
+        assert math.factorial(g.p) % order == 0
+        labelled[g.p] += math.factorial(g.p) // order
+        if is_connected(g):
+            labelled_connected[g.p] += math.factorial(g.p) // order
+    assert [labelled[p] for p in range(1, 9)] == [2 ** math.comb(p, 2) for p in range(1, 9)]
+    assert [labelled_connected[p] for p in range(1, 9)] == A001187
+    # 13 348 searches for p = 8, where the generate-and-dedupe census made 79 264
+    assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("max_p", [census.MAX_CENSUS_P + 1, 1000000])
+def test_census_refuses_max_p_above_cap(max_p):
+    start = time.perf_counter()
+    with pytest.raises(InvalidArgument, match=f"<= {census.MAX_CENSUS_P}"):
+        graph_classes_with_aut_order(max_p)
+    assert time.perf_counter() - start < 1.0

@@ -629,6 +629,40 @@ def test_census_all_p6_golden(tmp_path, capsys):
     )
 
 
+def test_census_p7_golden(tmp_path, capsys):
+    # sha256 of the JSONL, and of stdout without its output-path line, of the
+    # benchmark's census command, as written by the generate-and-dedupe
+    # census that canonical augmentation replaced.
+    out_path = tmp_path / "census7.jsonl"
+    code, out, err = _run(
+        capsys, ["census", "--max-p", "7", "--jobs", "1", "-o", str(out_path)]
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "043e0307b6e76ccd894cb53fd751aab64d53455e3678f986a57431e1b85a0499"
+    )
+    lines = out.splitlines(keepends=True)
+    output_line = f"  \"output\": {json.dumps(str(out_path))},\n"
+    assert lines.count(output_line) == 1
+    lines.remove(output_line)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "7a48fcad66a9bc95059b73fbf8ee8d38cc8a4c71de4b7f149ba9852d04f47812"
+    )
+
+
+@pytest.mark.parametrize("value", [str(census.MAX_CENSUS_P + 1), "1000000"])
+def test_census_rejects_max_p_above_cap(tmp_path, capsys, value):
+    out_path = tmp_path / "never.jsonl"
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["census", "--max-p", value, "-o", str(out_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"<= {census.MAX_CENSUS_P}" in errors[0]
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-p", "0"), ("--max-p", "-3"), ("--jobs", "0"), ("--jobs", "-2")],
@@ -690,3 +724,23 @@ def test_census_searches_each_graph_once(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, ["census", "--max-p", "5", "-o", str(tmp_path / "c.jsonl")])
     assert code == 0 and json.loads(out)["classes"] == 31
     assert forms and len(searches) == len(forms)
+
+
+def test_census_searches_about_once_per_class(tmp_path, capsys, monkeypatch):
+    # canonical augmentation searches only candidates that pass the vertex
+    # key test: 1 306 searches for 1 252 classes with p <= 7, where the
+    # generate-and-dedupe census made 5 758
+    forms = []
+    form = census.canonical_form
+
+    def counting_form(g, **kwargs):
+        forms.append(g)
+        return form(g, **kwargs)
+
+    monkeypatch.setattr(census, "canonical_form", counting_form)
+    code, out, _ = _run(
+        capsys, ["census", "--max-p", "7", "--all", "-o", str(tmp_path / "c.jsonl")]
+    )
+    classes = json.loads(out)["classes"]
+    assert code == 0 and classes == 1252
+    assert len(forms) < 1.1 * classes

@@ -217,27 +217,31 @@ def _census_record(g: Graph, aut_order: int) -> dict:
     return record
 
 
-def cmd_census(args) -> int:
-    classes, orders = zip(*graph_classes_with_aut_order(args.max_p, connected_only=not args.all))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_census_record, classes, orders, chunksize=8))
-    else:
-        records = list(map(_census_record, classes, orders))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    per_p = {}
+def _write_census(fh, records, per_p: dict) -> None:
+    """Write each record as one JSONL line as it arrives, counting classes and
+    positivity per vertex count into ``per_p``."""
     for record in records:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
         slot = per_p.setdefault(str(record["p"]), {"classes": 0, "positive": 0, "nonpositive": 0})
         slot["classes"] += 1
         slot["positive" if record["positive"] else "nonpositive"] += 1
+
+
+def cmd_census(args) -> int:
+    classes, orders = zip(*graph_classes_with_aut_order(args.max_p, connected_only=not args.all))
+    per_p = {}
+    with open(args.output, "w", encoding="utf-8") as fh:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                _write_census(fh, pool.map(_census_record, classes, orders, chunksize=8), per_p)
+        else:
+            _write_census(fh, map(_census_record, classes, orders), per_p)
     summary = {
         "max_p": args.max_p,
         "connected_only": not args.all,
-        "classes": len(records),
-        "positive": sum(1 for r in records if r["positive"]),
-        "nonpositive": sum(1 for r in records if not r["positive"]),
+        "classes": len(classes),
+        "positive": sum(slot["positive"] for slot in per_p.values()),
+        "nonpositive": sum(slot["nonpositive"] for slot in per_p.values()),
         "per_p": per_p,
         "output": args.output,
     }

@@ -41,6 +41,24 @@ MAX_ALGEBRA_DIM = 100
 MAX_AUT_LIST = math.factorial(9)
 
 
+def _normalized(edges, p: int) -> bool:
+    """Whether ``edges`` is a tuple of distinct plain-tuple pairs (i, j) with
+    1 <= i < j <= p, as ``Graph`` stores them.  A pair that cannot be
+    unpacked or compared gives False, and ``Graph`` then reports it."""
+    if type(edges) is not tuple:
+        return False
+    try:
+        for e in edges:
+            if type(e) is not tuple:
+                return False
+            i, j = e
+            if not 1 <= i < j <= p:
+                return False
+        return len(set(edges)) == len(edges)
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected simple graph on vertices ``1..p`` with ordered edges."""
@@ -49,8 +67,11 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.p < 1:
-            raise MalformedLine(f"vertex count must be >= 1, got {self.p}")
+        p = self.p
+        if p < 1:
+            raise MalformedLine(f"vertex count must be >= 1, got {p}")
+        if _normalized(self.edges, p):
+            return
         normalized = []
         seen = set()
         for i, j in self.edges:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import EmptyEdgeSet, InvalidFamilySpec, NotSymmetric, UnknownFamily
-from .graphs import Graph, coherent_components
+from .graphs import Graph, _adjacency, _twin_classes
 from .rational import ONE, ZERO, frac, leading_minors_all_positive
 
 
@@ -67,20 +67,24 @@ def edge_similarity_classes(g: Graph):
     """Group edges by the (unordered) pair of coherent components they join.
 
     Returns ``(class_ids, n_classes)`` where ``class_ids[k]`` is the 0-based
-    class of edge k.  Similar edges provably carry equal weights.
+    class of edge k, numbered in order of first appearance.  Similar edges
+    provably carry equal weights.  The components are the twin classes in the
+    order of ``coherent_components(g).components``, by least vertex.
     """
-    block_of = {}
-    for b, comp in enumerate(coherent_components(g).components):
-        for v in comp:
-            block_of[v] = b
+    # an edge's key has the bits of the blocks of its two ends, so it names
+    # the unordered pair of blocks
+    bit = [0] * (g.p + 1)
+    for b, members in enumerate(_twin_classes(g.p, _adjacency(g))):
+        for v in members:
+            bit[v + 1] = 1 << b
     keys = {}
     class_ids = []
     for i, j in g.edges:
-        a, b = block_of[i], block_of[j]
-        key = (a, b) if a <= b else (b, a)
-        if key not in keys:
-            keys[key] = len(keys)
-        class_ids.append(keys[key])
+        key = bit[i] | bit[j]
+        cid = keys.get(key)
+        if cid is None:
+            cid = keys[key] = len(keys)
+        class_ids.append(cid)
     return class_ids, len(keys)
 
 
@@ -88,28 +92,32 @@ def _solve_reduced(g: Graph, class_ids, n_classes) -> tuple[list[int], int]:
     """Solve the positivity system with nu = 1 on edge-similarity classes.
 
     Returns integer numerators per edge and one positive common denominator.
-    The class matrix ``B`` (3 on the diagonal plus neighbour counts) is
-    solved by Bareiss fraction-free elimination (Math. Comp. 22, 1968)
-    without row exchanges: ``D B = P^T (3I + A) P`` with ``D`` the diagonal
-    of class sizes and ``P`` the edge-to-class indicator, so every leading
-    minor of ``B`` is positive, and the k-th Bareiss pivot is the k-th
-    leading minor.  A non-positive pivot raises ``RuntimeError``.
+    The class matrix ``B`` is read off the first edge (i, j) of each class:
+    with ``counts[v][d]`` the number of class-d edges at vertex v, row cid
+    of ``B`` is ``counts[i] + counts[j] + e_cid``, that is 3 on the diagonal
+    plus one for each other edge meeting (i, j), the edge itself being
+    counted once at each end.  ``B`` is solved by Bareiss fraction-free
+    elimination (Math. Comp. 22, 1968) without row exchanges:
+    ``D B = P^T (3I + A) P`` with ``D`` the diagonal of class sizes and
+    ``P`` the edge-to-class indicator, so every leading minor of ``B`` is
+    positive, and the k-th Bareiss pivot is the k-th leading minor.  A
+    non-positive pivot raises ``RuntimeError``.
     """
-    rep = [None] * n_classes
-    for k, cid in enumerate(class_ids):
-        if rep[cid] is None:
-            rep[cid] = k
     n = n_classes
+    counts = [[0] * n for _ in range(g.p + 1)]
+    first = [None] * n
+    for (i, j), cid in zip(g.edges, class_ids):
+        counts[i][cid] += 1
+        counts[j][cid] += 1
+        if first[cid] is None:
+            first[cid] = (i, j)
     # augmented rows [B | 1]
-    m = [[0] * n + [1] for _ in range(n)]
-    for cid in range(n):
-        row = m[cid]
-        row[cid] = 3
-        k = rep[cid]
-        i, j = g.edges[k]
-        for other in g.vertex_edges[i - 1] + g.vertex_edges[j - 1]:
-            if other != k:
-                row[class_ids[other]] += 1
+    m = []
+    for cid, (i, j) in enumerate(first):
+        row = [a + b for a, b in zip(counts[i], counts[j])]
+        row[cid] += 1
+        row.append(1)
+        m.append(row)
     prev = 1
     for k in range(n):
         mk = m[k]
@@ -144,12 +152,12 @@ def _verify_full(g: Graph, c, nu) -> bool:
     ``solve_weights`` passes integer numerators ``c`` and their common
     denominator as ``nu``, so the check runs in integers.
     """
-    vertex_sum = [0] * g.p
-    for k, (i, j) in enumerate(g.edges):
-        vertex_sum[i - 1] += c[k]
-        vertex_sum[j - 1] += c[k]
-    for k, (i, j) in enumerate(g.edges):
-        if c[k] + vertex_sum[i - 1] + vertex_sum[j - 1] != nu:
+    vertex_sum = [0] * (g.p + 1)
+    for (i, j), x in zip(g.edges, c):
+        vertex_sum[i] += x
+        vertex_sum[j] += x
+    for (i, j), x in zip(g.edges, c):
+        if x + vertex_sum[i] + vertex_sum[j] != nu:
             return False
     return True
 
@@ -173,15 +181,14 @@ def solve_weights(g: Graph) -> Weighting | NotPositive:
             f"reduced positivity solution fails (3I + A) c = 1 for the graph "
             f"p={g.p}, edges={list(g.edges)}"
         )
-    failing = tuple(k + 1 for k, x in enumerate(num) if x <= 0)
-    # one Fraction per class, shared by the edges of that class
-    scale = den if failing else sum(num)
-    per_class = {}
-    for cid, x in zip(class_ids, num):
-        if cid not in per_class:
-            per_class[cid] = Fraction(x, scale)
-    c = tuple(per_class[cid] for cid in class_ids)
-    if failing:
+    # one value per class, and one Fraction per class shared by its edges
+    per_class = dict(zip(class_ids, num))
+    bad = {cid for cid, x in per_class.items() if x <= 0}
+    scale = den if bad else sum(num)
+    fracs = {cid: Fraction(x, scale) for cid, x in per_class.items()}
+    c = tuple(map(fracs.__getitem__, class_ids))
+    if bad:
+        failing = tuple(k + 1 for k, cid in enumerate(class_ids) if cid in bad)
         return NotPositive(c=c, failing_indices=failing)
     return Weighting(nu=Fraction(den, scale), c=c)
 
@@ -256,7 +263,8 @@ def family_graph(spec: FamilySpec) -> Graph:
             edges.extend(itertools.combinations(block_vertices[b], 2))
     for a, b in spec.adjacency:
         pairs = itertools.product(block_vertices[a], block_vertices[b])
-        edges.extend(tuple(sorted(pr)) for pr in pairs)
+        # each vertex of the earlier block is below each of the later one
+        edges.extend(pairs if a < b else ((j, i) for i, j in pairs))
     return Graph(p=total, edges=tuple(edges))
 
 

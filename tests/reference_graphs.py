@@ -5,14 +5,22 @@ neighbourhoods of every vertex pair, O(p^2) set operations, where
 ``graphsolitons.graphs.coherent_components`` hashes open and closed
 neighbourhoods.  ``automorphisms`` is the plain backtracker that listed the
 group before ``graphsolitons.graphs`` shared one search between
-``automorphisms`` and ``automorphism_order``.
+``automorphisms`` and ``automorphism_order``.  ``validate_edges`` is the
+edge loop that ``Graph.__post_init__`` ran on every edge list before it
+accepted already normalized edges in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from graphsolitons.errors import GroupTooLarge
+from graphsolitons.errors import (
+    DuplicateEdge,
+    GroupTooLarge,
+    IndexOutOfRange,
+    MalformedLine,
+    SelfLoop,
+)
 from graphsolitons.graphs import (
     COMPLETE,
     DISCRETE,
@@ -20,6 +28,28 @@ from graphsolitons.graphs import (
     Graph,
     Permutation,
 )
+
+
+def validate_edges(p, edges) -> tuple:
+    """The edges ``Graph(p, edges)`` stores: each pair ascending, in the
+    given order.  Raises as the constructor does on a bad vertex count, a
+    self-loop, a vertex outside 1..p or a repeated edge."""
+    if p < 1:
+        raise MalformedLine(f"vertex count must be >= 1, got {p}")
+    normalized = []
+    seen = set()
+    for i, j in edges:
+        if i == j:
+            raise SelfLoop(f"edge ({i},{j}) is a self-loop")
+        if not (1 <= i <= p and 1 <= j <= p):
+            raise IndexOutOfRange(f"edge ({i},{j}) outside 1..{p}")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise DuplicateEdge(f"edge ({i},{j}) listed twice")
+        seen.add((i, j))
+        normalized.append((i, j))
+    return tuple(normalized)
 
 
 def coherent_components(g: Graph) -> CoherentDecomposition:

@@ -704,6 +704,23 @@ def test_table1_rejects_max_below_one(capsys, value):
     assert len(errors) == 1 and "--max" in errors[0] and ">= 1" in errors[0]
 
 
+@pytest.mark.parametrize(
+    "size, digest",
+    [
+        ("1", "2d0bfe7cec19090e18d047fd0080aed6a66019dabfcaa256c20bb42e7255f90e"),
+        ("2", "0f2d0f1ae53bd237d0fc2d3a506134261bc494397b3f3b837bef01c7fc5849f1"),
+        ("3", "ee768a017204afef53c6c169b270d71fc3240185e93089c793620a0a3759068f"),
+        ("8", "2db01d2904456745f1f355be1e6281935a80cfec4baafb4f449909063cc24a8b"),
+    ],
+)
+def test_table1_golden(capsys, size, digest):
+    # sha256 of stdout as written when the positivity solve walked the
+    # edges incident to each class representative
+    code, out, err = _run(capsys, ["table1", "--max", size])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_census_searches_each_graph_once(tmp_path, capsys, monkeypatch):
     # aut_order is read off the generators of the canonical search, so the
     # census runs no search besides the one inside each canonical_form call

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -118,6 +119,85 @@ def test_graph_constructor_validates():
         Graph(p=2, edges=((1, 2), (2, 1)))
     with pytest.raises(IndexOutOfRange):
         Graph(p=2, edges=((1, 3),))
+
+
+def _constructor_outcome(make):
+    try:
+        return ("ok", make())
+    except Exception as exc:  # the type and message are what is compared
+        return (type(exc), str(exc))
+
+
+def _seeded_edge_list(rng):
+    """A vertex count and an edge list that is normalized, or broken in one
+    or more of the ways the constructor checks or repairs."""
+    p = rng.choice([0, -1]) if rng.random() < 0.05 else rng.randint(1, 7)
+    pairs = [e for e in itertools.combinations(range(1, max(p, 1) + 1), 2)
+             if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    edges = []
+    for i, j in pairs:
+        roll = rng.random()
+        if roll < 0.04:
+            edges.append((i, j))
+            edges.append((j, i))
+        elif roll < 0.08:
+            edges.append((i, i))
+        elif roll < 0.12:
+            edges.append((i, rng.choice([0, -2, p + 1, p + 5])))
+        elif roll < 0.20:
+            edges.append((j, i))
+        elif roll < 0.25:
+            edges.append([i, j])
+        else:
+            edges.append((i, j))
+    return p, edges
+
+
+_Pair = collections.namedtuple("_Pair", "i j")
+
+
+def test_graph_constructor_matches_reference_loop():
+    # the constructor accepts normalized edges in one pass and sends
+    # everything else through the loop it always ran (reference_graphs)
+    fixed = [
+        (3, [(1, 2), (2, 3)]),
+        (3, [(2, 1), (3, 2)]),
+        (2, [(1, 2), (2, 1)]),
+        (2, [(2, 1), (1, 2)]),
+        (3, [(1, 2), (1, 2)]),
+        (3, [(2, 2)]),
+        (3, [(1, 2), (3, 3), (1, 4)]),
+        (3, [(1, 4), (3, 3)]),
+        (3, [(0, 1)]),
+        (0, []),
+        (0, [(1, 2)]),
+        (-2, [(1, 1)]),
+        (4, [[1, 2], [3, 4]]),
+        (4, [[2, 1], (1, 2)]),
+        (3, [_Pair(1, 2), _Pair(2, 3)]),
+        (1, []),
+        (5, []),
+        (3, [(1, 2, 3)]),
+        (3, [(1,)]),
+        (3, [(1, "2")]),
+        (3, [(2, "1")]),
+        (3, [(1, 2), (2, 1.5)]),
+    ]
+    rng = random.Random(2026)
+    cases = fixed + [_seeded_edge_list(rng) for _ in range(3000)]
+    kinds = set()
+    for p, edges in cases:
+        for given in (tuple(edges), list(edges)):
+            want = _constructor_outcome(lambda: reference_graphs.validate_edges(p, given))
+            got = _constructor_outcome(lambda: Graph(p=p, edges=given).edges)
+            assert got == want, (p, given)
+            if got[0] == "ok":
+                assert type(got[1]) is tuple
+                assert all(type(e) is tuple for e in got[1])
+            kinds.add(got[0])
+    assert kinds == {"ok", MalformedLine, SelfLoop, IndexOutOfRange, DuplicateEdge,
+                     ValueError, TypeError}
 
 
 # ---------------------------------------------------------------- line graph

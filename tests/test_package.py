@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,66 @@ def test_traced_names_exist():
         if name not in vars(scope or object):
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _perfbench_tracer():
+    """perfbench/tracer.py as a fresh module, executed from its source so
+    that nothing is written under perfbench/."""
+    path = ROOT / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_hooks_accept_every_traced_result(tmp_path, capsys):
+    # perfbench --trace 1 wraps the traced functions and reads their results
+    # in hooks; a hook that raises, or a wrapper that changes the output,
+    # ends the traced run incorrect
+    from graphsolitons import cli
+
+    paw = tmp_path / "paw.graph"
+    paw.write_text(PAW_TEXT)
+    c4 = tmp_path / "c4.graph"
+    c4.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
+    s = tmp_path / "s.vec"
+    s.write_text("1 0 0 0\n")
+    t = tmp_path / "t.vec"
+    t.write_text("0 1 0 0\n")
+    jsonl = tmp_path / "census.jsonl"
+    argvs = [
+        ["analyze", str(paw)],
+        ["census", "--max-p", "4", "-o", str(jsonl)],
+        ["table1", "--max", "3"],
+        ["solsoliton", str(c4), "--subspace", str(s)],
+        ["solsoliton", str(c4), "--einstein"],
+        ["classify", str(c4), str(s), str(t)],
+    ]
+
+    def run_all():
+        outputs = []
+        for argv in argvs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            outputs.append((argv[0], code, captured.out, captured.err))
+        outputs.append(jsonl.read_bytes())
+        return outputs
+
+    plain = run_all()
+    tracer = _perfbench_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run_all()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert [code for _, code, _, _ in plain[:-1]] == [0, 0, 0, 0, 0, 0]
+    for name in ("cli.main", "positivity.solve_weights", "positivity.edge_similarity_classes",
+                 "positivity.family_graph", "census.canonical_form", "graphs.automorphisms",
+                 "algebra.check_soliton"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["edge_classes.edges"] > 0
+    assert tracer.maxima["weights.den_bits"] > 0
 
 
 def test_pyproject_declares_no_runtime_dependencies():

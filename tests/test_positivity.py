@@ -29,6 +29,7 @@ from graphsolitons import (
     table1_criterion,
 )
 from conftest import F, blown_up_graph
+import reference_positivity
 
 
 def test_positivity_matrix_paw(paw):
@@ -170,6 +171,64 @@ def test_solve_weights_matches_full_fraction_solve_on_family_graphs():
             _assert_same_result(solve_weights(g), _full_fraction_solve(g))
             checked += 1
     assert checked == 290
+
+
+def _assert_matches_reference(g, rng):
+    """The class ids, the integer class solve, the full check and the result
+    agree with the versions they replaced (tests/reference_positivity.py).
+    Returns the result's type."""
+    classes = edge_similarity_classes(g)
+    assert classes == reference_positivity.edge_similarity_classes(g)
+    num, den = positivity._solve_reduced(g, *classes)
+    assert (num, den) == reference_positivity._solve_reduced(g, *classes)
+    bumped = list(num)
+    bumped[rng.randrange(g.q)] += 1
+    for c, nu in ((num, den), (num, den + 1), (bumped, den)):
+        assert positivity._verify_full(g, c, nu) == reference_positivity._verify_full(g, c, nu)
+    got = solve_weights(g)
+    _assert_same_result(got, reference_positivity.solve_weights(g))
+    return type(got)
+
+
+def test_solve_weights_matches_reference_on_every_small_class():
+    rng = random.Random(31)
+    kinds = {Weighting: 0, NotPositive: 0}
+    for g in graph_classes(7, connected_only=False):
+        if g.q:
+            kinds[_assert_matches_reference(g, rng)] += 1
+    # every class but the 7 edgeless ones
+    assert kinds == {Weighting: 1149, NotPositive: 96}
+
+
+def test_solve_weights_matches_reference_on_random_graphs():
+    rng = random.Random(1968)
+    kinds = {Weighting: 0, NotPositive: 0}
+    for _ in range(400):
+        p = rng.randint(2, 10)
+        if rng.random() < 0.5:
+            g = blown_up_graph(rng, p)
+        else:
+            density = rng.random()
+            g = Graph(p=p, edges=tuple(
+                e for e in itertools.combinations(range(1, p + 1), 2) if rng.random() < density
+            ))
+        if g.q:
+            kinds[_assert_matches_reference(g, rng)] += 1
+    assert kinds[Weighting] >= 200 and kinds[NotPositive] >= 15
+
+
+def test_solve_weights_matches_reference_on_table1_instances():
+    # every family graph that table1 --max 8 solves, built as before
+    rng = random.Random(8)
+    kinds = {Weighting: 0, NotPositive: 0}
+    for row in TABLE_ROWS:
+        ranges = [range(2, 9) if full else range(1, 9) for full in row.complete]
+        for sizes in itertools.product(*ranges):
+            spec = FamilySpec(row.complete, row.adjacency, sizes)
+            g = family_graph(spec)
+            assert g.edges == reference_positivity.family_graph(spec).edges
+            kinds[_assert_matches_reference(g, rng)] += 1
+    assert kinds == {Weighting: 2007, NotPositive: 655}
 
 
 def test_weights_invariant_under_automorphisms(connected_classes_p5):

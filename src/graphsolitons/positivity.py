@@ -88,35 +88,36 @@ def edge_similarity_classes(g: Graph):
     return class_ids, len(keys)
 
 
-def _solve_reduced(g: Graph, class_ids, n_classes) -> tuple[list[int], int]:
-    """Solve the positivity system with nu = 1 on edge-similarity classes.
+def _solve_twin_quotient(g: Graph) -> tuple[list[int], int]:
+    """Solve the positivity system with nu = 1 in the vertex space.
 
     Returns integer numerators per edge and one positive common denominator.
-    The class matrix ``B`` is read off the first edge (i, j) of each class:
-    with ``counts[v][d]`` the number of class-d edges at vertex v, row cid
-    of ``B`` is ``counts[i] + counts[j] + e_cid``, that is 3 on the diagonal
-    plus one for each other edge meeting (i, j), the edge itself being
-    counted once at each end.  ``B`` is solved by Bareiss fraction-free
-    elimination (Math. Comp. 22, 1968) without row exchanges:
-    ``D B = P^T (3I + A) P`` with ``D`` the diagonal of class sizes and
-    ``P`` the edge-to-class indicator, so every leading minor of ``B`` is
-    positive, and the k-th Bareiss pivot is the k-th leading minor.  A
-    non-positive pivot raises ``RuntimeError``.
+    With M the vertex-edge incidence matrix, ``3I + Adj L(G) = I + M^T M``,
+    so by the Woodbury identity ``c_k = 1 - y_i - y_j`` for edge k = (i, j),
+    where ``(I + D + A) y = d`` for G's degrees D, d and adjacency A.  y is
+    constant on twin classes, so it solves their b x b quotient ``B``: row X,
+    read off its least vertex, has ``1 + d_X + [X complete](m_X - 1)`` on
+    the diagonal, ``m_Y`` for each class Y joined to X, and right-hand side
+    ``d_X``.  ``diag(m) B = P^T (I + D + A) P`` (P the vertex-to-class
+    indicator) is positive definite, so Bareiss fraction-free elimination
+    (Math. Comp. 22, 1968) without row exchanges has the leading minors of
+    ``B`` as pivots, all positive; a non-positive pivot raises
+    ``RuntimeError``.  Edge (i, j) gets ``det B - Y_i - Y_j`` with
+    ``Y = det B * y``, an integer vector by Cramer's rule.
     """
-    n = n_classes
-    counts = [[0] * n for _ in range(g.p + 1)]
-    first = [None] * n
-    for (i, j), cid in zip(g.edges, class_ids):
-        counts[i][cid] += 1
-        counts[j][cid] += 1
-        if first[cid] is None:
-            first[cid] = (i, j)
-    # augmented rows [B | 1]
+    adj = _adjacency(g)
+    classes = _twin_classes(g.p, adj)
+    n = len(classes)
+    # augmented rows [B | d]
     m = []
-    for cid, (i, j) in enumerate(first):
-        row = [a + b for a, b in zip(counts[i], counts[j])]
-        row[cid] += 1
-        row.append(1)
+    for x, members in enumerate(classes):
+        nbrs = adj[members[0]]
+        d = nbrs.bit_count()
+        row = [len(other) if nbrs >> other[0] & 1 else 0 for other in classes]
+        # a complete class holds its other m_X - 1 members as neighbours
+        complete = len(members) > 1 and nbrs >> members[1] & 1
+        row[x] = 1 + d + (len(members) - 1 if complete else 0)
+        row.append(d)
         m.append(row)
     prev = 1
     for k in range(n):
@@ -133,17 +134,17 @@ def _solve_reduced(g: Graph, class_ids, n_classes) -> tuple[list[int], int]:
             for j in range(k + 1, n + 1):
                 mi[j] = (mi[j] * pivot - f * mk[j]) // prev
         prev = pivot
-    # back substitution scaled by det B = prev: x[i] = det * (B^-1 1)_i is an
-    # integer (Cramer), so every division below is exact
+    # back substitution scaled by det B = prev, overwriting each right-hand
+    # side with Y; every division is exact
     det = prev
-    x = [0] * n
+    y = [0] * (g.p + 1)
     for i in range(n - 1, -1, -1):
         mi = m[i]
-        acc = det * mi[n]
-        for j in range(i + 1, n):
-            acc -= mi[j] * x[j]
-        x[i] = acc // mi[i]
-    return [x[cid] for cid in class_ids], det
+        acc = det * mi[n] - sum(mi[j] * m[j][n] for j in range(i + 1, n))
+        mi[n] = acc // mi[i]
+        for v in classes[i]:
+            y[v + 1] = mi[n]
+    return [det - y[i] - y[j] for i, j in g.edges], det
 
 
 def _verify_full(g: Graph, c, nu) -> bool:
@@ -168,27 +169,25 @@ def solve_weights(g: Graph) -> Weighting | NotPositive:
     Returns a :class:`Weighting` normalized to ``sum(c) == 1`` when every
     weight is positive, else a :class:`NotPositive` carrying the nu = 1
     solution and the offending edge indices.  The integer solution of the
-    reduced class system is checked against every edge equation; a failure
+    twin-class quotient is checked against every edge equation; a failure
     raises ``RuntimeError``.
     """
     if g.q == 0:
         raise EmptyEdgeSet("graph has no edges")
-    class_ids, n_classes = edge_similarity_classes(g)
-    num, den = _solve_reduced(g, class_ids, n_classes)
+    num, den = _solve_twin_quotient(g)
     if not _verify_full(g, num, den):
-        # similar edges carry equal weights, so this is an internal fault
+        # y is constant on twin classes, so this is an internal fault
         raise RuntimeError(
             f"reduced positivity solution fails (3I + A) c = 1 for the graph "
             f"p={g.p}, edges={list(g.edges)}"
         )
-    # one value per class, and one Fraction per class shared by its edges
-    per_class = dict(zip(class_ids, num))
-    bad = {cid for cid, x in per_class.items() if x <= 0}
+    bad = min(num) <= 0
     scale = den if bad else sum(num)
-    fracs = {cid: Fraction(x, scale) for cid, x in per_class.items()}
-    c = tuple(map(fracs.__getitem__, class_ids))
+    # one Fraction per distinct numerator, shared by the edges that carry it
+    fracs = {x: Fraction(x, scale) for x in set(num)}
+    c = tuple(map(fracs.__getitem__, num))
     if bad:
-        failing = tuple(k + 1 for k, cid in enumerate(class_ids) if cid in bad)
+        failing = tuple(k + 1 for k, x in enumerate(num) if x <= 0)
         return NotPositive(c=c, failing_indices=failing)
     return Weighting(nu=Fraction(den, scale), c=c)
 

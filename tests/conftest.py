@@ -1,11 +1,18 @@
 """Shared fixtures: small reference graphs and cached census classes."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
-from graphsolitons import Graph, MetricLieAlgebra, graph_algebra, graph_classes
+from graphsolitons import (
+    Graph,
+    MetricLieAlgebra,
+    graph_algebra,
+    graph_classes,
+    graph_classes_with_aut_order,
+)
 
 # Triangle 1-2-3 with a pendant edge 3-4 ("paw"), edges ordered so the edge
 # weights come out (1/6, 1/6, 1/3, 1/3).
@@ -48,6 +55,15 @@ def connected_classes_p6():
     return graph_classes(6)
 
 
+@pytest.fixture(scope="session")
+def census_p8():
+    """Every class on at most 8 vertices with its |Aut| (connected or not),
+    and the seconds the census took; the session runs it once."""
+    start = time.perf_counter()
+    pairs = graph_classes_with_aut_order(8, connected_only=False)
+    return pairs, time.perf_counter() - start
+
+
 def F(num, den=1) -> Fraction:
     return Fraction(num, den)
 
@@ -65,11 +81,11 @@ def p3_and_k3_with_off_diagonal_gram():
         )
 
 
-def blown_up_graph(rng, p):
+def blown_up_graph(rng, p, max_blocks=None):
     """A random graph on p vertices with many twins: a random template on
-    k <= p blocks, each block complete or discrete, blocks joined at random,
-    vertex labels shuffled."""
-    k = rng.randint(1, p)
+    k <= max_blocks (default p) blocks, each block complete or discrete,
+    blocks joined at random, vertex labels shuffled."""
+    k = rng.randint(1, max_blocks or p)
     block = [rng.randrange(k) for _ in range(p)]
     complete = [rng.random() < 0.5 for _ in range(k)]
     joined = {(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.5}

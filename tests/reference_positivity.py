@@ -2,9 +2,11 @@
 
 These are the versions that ``graphsolitons.positivity`` replaced:
 ``edge_similarity_classes`` reads block numbers off a full
-``coherent_components`` decomposition, ``_solve_reduced`` fills the class
-matrix by walking the edges incident to each class representative, and
-``family_graph`` sorts every join pair.  The integer system, its solution and
+``coherent_components`` decomposition, ``_solve_reduced`` solves the edge
+system with one unknown per edge-similarity class (the package now solves
+the twin-class quotient of ``(I + D + A) y = d`` in the vertex space), its
+class matrix filled by walking the edges incident to each class
+representative, and ``family_graph`` sorts every join pair.  The weights and
 the certificate are the same; the differential tests in
 ``tests/test_positivity.py`` compare the two.
 """

@@ -229,14 +229,12 @@ def test_census_refuses_a_class_accepted_twice(monkeypatch):
         graph_classes_with_aut_order(3, connected_only=False)
 
 
-def test_census_up_to_eight_vertices_matches_oeis_and_orbit_stabilizer():
+def test_census_up_to_eight_vertices_matches_oeis_and_orbit_stabilizer(census_p8):
     # Anchors that use no code from this package: the class counts, and
     # orbit-stabilizer, by which p!/|Aut G| labelled graphs fall in the class
     # of G, so the classes on p vertices sum to all 2^C(p,2) labelled graphs
     # and the connected ones to the labelled connected graphs.
-    start = time.perf_counter()
-    pairs = graph_classes_with_aut_order(8, connected_only=False)
-    elapsed = time.perf_counter() - start
+    pairs, elapsed = census_p8
     connected = Counter(g.p for g, _ in pairs if is_connected(g))
     everything = Counter(g.p for g, _ in pairs)
     assert [connected[p] for p in range(1, 9)] == A001349 + [11117]

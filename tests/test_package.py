@@ -13,13 +13,15 @@ import pytest
 import graphsolitons
 from graphsolitons import (
     FamilySpec,
+    Graph,
     GraphSolitonsError,
     Permutation,
     SubspaceParam,
     graph_classes,
 )
+from graphsolitons import positivity
 from graphsolitons.rational import inverse, solve_unique
-from conftest import F, PAW_TEXT
+from conftest import F, PAW_EDGES, PAW_TEXT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(graphsolitons.__file__).resolve().parent
@@ -107,8 +109,12 @@ def test_tracer_hooks_accept_every_traced_result(tmp_path, capsys):
     tracer.install()
     try:
         traced = run_all()
+        # the solver no longer calls edge_similarity_classes, but the tracer
+        # still wraps and hooks it
+        classes = positivity.edge_similarity_classes(Graph(p=4, edges=PAW_EDGES))
     finally:
         tracer.uninstall()
+    assert classes == ([0, 0, 1, 2], 3)
     assert traced == plain
     assert [code for _, code, _, _ in plain[:-1]] == [0, 0, 0, 0, 0, 0]
     for name in ("cli.main", "positivity.solve_weights", "positivity.edge_similarity_classes",

@@ -101,20 +101,29 @@ def test_solve_weights_raises_when_full_check_fails(paw, monkeypatch):
 
 
 def test_solve_weights_raises_on_singular_class_matrix(monkeypatch):
-    # a wrong edge classification whose class matrix [[3, 4], [3, 4]] has a
-    # zero second leading minor: Bareiss stops at that pivot
-    g = Graph(p=5, edges=((1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)))
-    wrong = ([0, 1, 1, 1, 1, 0, 0], 2)
-    monkeypatch.setattr(positivity, "edge_similarity_classes", lambda g: wrong)
-    with pytest.raises(RuntimeError, match="leading minor 0 at order 2"):
+    # a wrong twin partition of one edge on five vertices: its quotient
+    # [[2, 0, 2], [0, 1, 0], [2, 0, 2]] has a zero third leading minor, and
+    # Bareiss stops at that pivot
+    g = Graph(p=5, edges=((1, 3),))
+    wrong = [[0, 4], [1], [2, 3]]
+    monkeypatch.setattr(positivity, "_twin_classes", lambda p, adj: wrong)
+    with pytest.raises(RuntimeError, match="leading minor 0 at order 3"):
         solve_weights(g)
 
 
+def test_solve_weights_raises_when_wrong_classes_pass_elimination(p3, monkeypatch):
+    # one class for the whole path: the 1 x 1 quotient [4] has a positive
+    # pivot, but its weights (1/2, 1/2) fail the edge equations
+    monkeypatch.setattr(positivity, "_twin_classes", lambda p, adj: [[0, 1, 2]])
+    with pytest.raises(RuntimeError, match=r"edges=\[\(1, 2\), \(2, 3\)\]"):
+        solve_weights(p3)
+
+
 def test_solve_reduced_is_integer(paw):
-    num, den = positivity._solve_reduced(paw, *edge_similarity_classes(paw))
+    num, den = positivity._solve_twin_quotient(paw)
     # paw at nu = 1: c = (1/8, 1/8, 1/4, 1/4); the denominator is the
-    # determinant of the 3 x 3 class matrix [[4, 1, 1], [2, 3, 0], [2, 0, 3]]
-    assert all(type(x) is int for x in num) and den == 24
+    # determinant of the 3 x 3 twin-class quotient [[4, 1, 0], [2, 4, 1], [0, 1, 2]]
+    assert all(type(x) is int for x in num) and num == [3, 3, 6, 6] and den == 24
     assert [Fraction(x, den) for x in num] == [F(1, 8), F(1, 8), F(1, 4), F(1, 4)]
 
 
@@ -173,14 +182,43 @@ def test_solve_weights_matches_full_fraction_solve_on_family_graphs():
     assert checked == 290
 
 
+def _quotient_determinant(g):
+    """det B of the twin-class quotient, from its definition: diag(m) B is
+    P^T (I + D + A) P, summed entry by entry over the vertex pairs of the
+    coherent components, and its determinant is taken in Fractions."""
+    comps = coherent_components(g).components
+    block = {v: b for b, comp in enumerate(comps) for v in comp}
+    n = len(comps)
+    k = [[F(0)] * n for _ in range(n)]
+    for v in range(1, g.p + 1):
+        k[block[v]][block[v]] += 1
+    for i, j in g.edges:
+        a, b = block[i], block[j]
+        for x, y in ((a, a), (b, b), (a, b), (b, a)):
+            k[x][y] += 1
+    det = F(1)
+    for col in range(n):
+        pivot = k[col][col]
+        det *= pivot
+        for r in range(col + 1, n):
+            f = k[r][col] / pivot
+            k[r] = [x - f * y for x, y in zip(k[r], k[col])]
+    for comp in comps:
+        det /= len(comp)
+    return det
+
+
 def _assert_matches_reference(g, rng):
-    """The class ids, the integer class solve, the full check and the result
-    agree with the versions they replaced (tests/reference_positivity.py).
-    Returns the result's type."""
+    """The edge classes, the weights of the integer solve, the full check
+    and the result agree with the versions they replaced
+    (tests/reference_positivity.py), and the denominator is the determinant
+    of the twin-class quotient.  Returns the result's type."""
     classes = edge_similarity_classes(g)
     assert classes == reference_positivity.edge_similarity_classes(g)
-    num, den = positivity._solve_reduced(g, *classes)
-    assert (num, den) == reference_positivity._solve_reduced(g, *classes)
+    num, den = positivity._solve_twin_quotient(g)
+    ref_num, ref_den = reference_positivity._solve_reduced(g, *classes)
+    assert [Fraction(x, den) for x in num] == [Fraction(x, ref_den) for x in ref_num]
+    assert den == _quotient_determinant(g)
     bumped = list(num)
     bumped[rng.randrange(g.q)] += 1
     for c, nu in ((num, den), (num, den + 1), (bumped, den)):
@@ -229,6 +267,37 @@ def test_solve_weights_matches_reference_on_table1_instances():
             assert g.edges == reference_positivity.family_graph(spec).edges
             kinds[_assert_matches_reference(g, rng)] += 1
     assert kinds == {Weighting: 2007, NotPositive: 655}
+
+
+def _twin_free_graph(rng, p):
+    """A seeded graph on p vertices with no twins: a path backbone plus
+    random chords, redrawn until every twin class is a single vertex."""
+    pairs = list(itertools.combinations(range(1, p + 1), 2))
+    while True:
+        chords = rng.sample(pairs, rng.randint(p // 2, p))
+        g = Graph(p=p, edges=tuple(sorted({(i, i + 1) for i in range(1, p)} | set(chords))))
+        if len(coherent_components(g).components) == p:
+            return g
+
+
+def test_solve_weights_matches_reference_on_large_graphs():
+    # p = 20..60: blown-up graphs have a quotient of at most 8 twin classes,
+    # twin-free ones a quotient of order p
+    rng = random.Random(160)
+    kinds = {Weighting: 0, NotPositive: 0}
+    for n in range(20):
+        p = rng.randint(20, 60)
+        if n % 2:
+            g = _twin_free_graph(rng, p)
+        else:
+            g = blown_up_graph(rng, p, max_blocks=8)
+            while g.q == 0:
+                g = blown_up_graph(rng, p, max_blocks=8)
+            assert len(coherent_components(g).components) <= 8
+        got = solve_weights(g)
+        _assert_same_result(got, reference_positivity.solve_weights(g))
+        kinds[type(got)] += 1
+    assert kinds[Weighting] >= 1 and kinds[NotPositive] >= 1
 
 
 def test_weights_invariant_under_automorphisms(connected_classes_p5):
@@ -441,6 +510,117 @@ def test_table1_complete_block_of_one_rejected():
         table1_criterion(FamilySpec((True, False), ((0, 1),), (1, 3)))
     # the same shape with the lone block marked discrete is just bipartite
     assert table1_criterion(FamilySpec((False, False), ((0, 1),), (1, 3))) is True
+
+
+# ---------------------------------------------------------------- templates
+
+def _template_key(complete, joins, sizes=None):
+    """Canonical form of a template (with block sizes, when given): the least
+    (flags, sizes, sorted joins) over all relabellings of the blocks."""
+    k = len(complete)
+    best = None
+    for perm in itertools.permutations(range(k)):
+        flags = [None] * k
+        slots = [None] * k
+        for old, new in enumerate(perm):
+            flags[new] = complete[old]
+            slots[new] = sizes[old] if sizes else 0
+        edges = sorted(tuple(sorted((perm[a], perm[b]))) for a, b in joins)
+        key = (tuple(flags), tuple(slots), tuple(edges))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _template_status(complete, joins):
+    """'template' for a connected template on which no two blocks merge, else
+    'merging' or 'disconnected'.  Two discrete blocks merge when they are not
+    joined and have the same neighbours; two complete blocks merge when they
+    are joined and have the same other neighbours."""
+    k = len(complete)
+    nbrs = [set() for _ in range(k)]
+    for a, b in joins:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for b in nbrs[stack.pop()] - seen:
+            seen.add(b)
+            stack.append(b)
+    if len(seen) < k or (k == 1 and not complete[0]):
+        return "disconnected"
+    for a, b in itertools.combinations(range(k), 2):
+        if complete[a] != complete[b]:
+            continue
+        if not complete[a] and b not in nbrs[a] and nbrs[a] == nbrs[b]:
+            return "merging"
+        if complete[a] and b in nbrs[a] and nbrs[a] - {b} == nbrs[b] - {a}:
+            return "merging"
+    return "template"
+
+
+def _labelled_templates(k):
+    """Every (complete flags, joins) on k labelled blocks, with its status."""
+    pairs = list(itertools.combinations(range(k), 2))
+    for complete in itertools.product((False, True), repeat=k):
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            joins = tuple(pr for pr, on in zip(pairs, chosen) if on)
+            yield complete, joins, _template_status(complete, joins)
+
+
+def test_template_counts():
+    counts = [
+        len({_template_key(c, j) for c, j, status in _labelled_templates(k) if status == "template"})
+        for k in range(1, 5)
+    ]
+    assert counts == [1, 2, 6, 31]
+
+
+def test_templates_are_the_coherent_quotients_up_to_eight_vertices(census_p8):
+    # every template on k <= 4 blocks is realized with all blocks of size 2
+    # (p = 2k <= 8), and every quotient of a connected graph is a template
+    pairs, _ = census_p8
+    quotients = {k: set() for k in range(1, 5)}
+    for g, _ in pairs:
+        if g.q and is_connected(g):
+            cd = coherent_components(g)
+            k = len(cd.components)
+            if k <= 4:
+                complete = tuple(f == "complete" for f in cd.flags)
+                quotients[k].add(_template_key(complete, cd.coherence_edges))
+    for k in range(1, 5):
+        templates = {
+            _template_key(c, j) for c, j, status in _labelled_templates(k) if status == "template"
+        }
+        assert quotients[k] == templates
+
+
+def test_match_template_accepts_exactly_the_templates_up_to_three_blocks():
+    # distinct block sizes, so that the size slots the match returns are
+    # checked against the row's own template as well
+    rows = {}
+    for k in range(1, 4):
+        sizes = tuple(range(2, k + 2))
+        for complete, joins, status in _labelled_templates(k):
+            spec = FamilySpec(complete, joins, sizes)
+            if status != "template":
+                with pytest.raises(UnknownFamily):
+                    positivity._match_template(spec)
+                continue
+            row, slots = positivity._match_template(spec)
+            assert _template_key(row.complete, row.adjacency, slots) == _template_key(
+                complete, joins, sizes
+            )
+            rows.setdefault(_template_key(complete, joins), set()).add(row.name)
+    assert sorted(name for names in rows.values() for name in names) == sorted(
+        row.name for row in TABLE_ROWS
+    )
+    assert all(len(names) == 1 for names in rows.values())
+    for complete, joins, status in _labelled_templates(4):
+        if status == "template":
+            with pytest.raises(UnknownFamily):
+                positivity._match_template(FamilySpec(complete, joins, (2, 3, 4, 5)))
 
 
 def test_table1_against_solver_small():

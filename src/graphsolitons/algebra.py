@@ -79,9 +79,11 @@ class MetricLieAlgebra:
             seen.add((i, j))
             if any(not 0 <= k < self.n for k, _ in coeffs):
                 raise DimensionMismatch("bracket target out of range")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.gram[i][j] != self.gram[j][i]:
+        # a pair that differs has a nonzero on one side: check the nonzeros
+        gram = self.gram
+        for i, row in enumerate(self.gram_rows):
+            for j, x in row:
+                if j != i and gram[j][i] != x:
                     raise DegenerateGram("gram is not symmetric")
         # block diagonal (up to a permutation): PD exactly when every block is
         for block in self.gram_blocks:
@@ -452,28 +454,34 @@ def symmetric_derivation_dimension(L: MetricLieAlgebra) -> tuple[int, list[list[
     return len(basis), [_unflatten(vec, L.n) for vec in basis]
 
 
-def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
-    """Sparse basis of the metric-symmetric derivations of a graph algebra:
-    each vector maps a flat index ``i * n + j`` to the (i, j) entry.
-    Counting it needs no dense n x n matrices.
+def _symmetric_derivation_system(L: MetricLieAlgebra) -> tuple[list[dict], list, dict]:
+    """The homogeneous system of the metric-symmetric derivations of a graph
+    algebra, solved on the generators: ``(rows, cells, d_w)``.
 
-    Solved on the generators, in the p(p+1)/2 entries of a symmetric p x p
-    matrix A.  Every derivation preserves W = [n, n], the span of the edge
-    vectors; as the Gram is block diagonal over V and W, a symmetric D also
-    preserves V, so D = A + D_W.  A fixes D through
+    The unknowns are the p(p+1)/2 entries of a symmetric p x p matrix A,
+    ``cells[v] = (a, b)`` with a <= b.  Every derivation preserves
+    W = [n, n], the span of the edge vectors; as the Gram is block diagonal
+    over V and W, a symmetric D also preserves V, so D = A + D_W.  A fixes D
+    through
 
         X_ij = D[v_i, v_j] = sum_u A[u][i] [v_u, v_j] + sum_u A[u][j] [v_i, v_u],
 
     summed over the neighbours u of j and of i.  X_ij must vanish for a
     non-edge {i, j}, one row per nonzero coordinate; for the edge
-    ``[v_i, v_j] = c e_k`` it is c times column k of D_W.  D_W is then
-    symmetric for the Gram diagonal g on W:
-    ``g_m D_W[m][k] = g_k D_W[k][m]``, one row per pair of edges that meet.
+    ``[v_i, v_j] = c e_k`` it is c times column k of D_W, and ``d_w`` maps
+    (m, k) to the linear form of D[m][k].  D_W is then symmetric for the
+    Gram diagonal g on W: ``g_m D_W[m][k] = g_k D_W[k][m]``, one row per
+    pair of edges that meet, scaled by both denominators of g.
+
+    Bracket coefficients with denominator 1 are read as ints, so a graph
+    algebra gives integer rows.  Scaling a homogeneous row changes neither
+    its zero pattern nor its normalized pivot row, so
+    :func:`sparse_nullspace` returns the basis that the unscaled Fraction
+    rows give.
     """
     p, q = L.vertex_edge_split()  # raises NotGraphAlgebra for any other algebra
-    n = L.n
     gram = L.gram
-    if len(L.gram_blocks) != n or any(gram[i][i] != ONE for i in range(p)):
+    if len(L.gram_blocks) != L.n or any(gram[i][i] != ONE for i in range(p)):
         raise NotGraphAlgebra("Gram is not the identity on V and diagonal on W")
     targets = set()
     for i, j, coeffs in L.brackets:
@@ -492,7 +500,13 @@ def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
             var[a][b] = var[b][a] = len(cells)
             cells.append((a, b))
 
-    prod = L.products_into
+    prod = [
+        {
+            k: [(u, val.numerator if val.denominator == 1 else val) for u, val in terms]
+            for k, terms in L.products_into[i].items()
+        }
+        for i in range(p)
+    ]
     bracket_map = L.bracket_map
     rows = []
     d_w = {}  # (m, k) -> the linear form of D[m][k], m and k edge vectors
@@ -525,15 +539,29 @@ def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
                     d_w[m, k] = {v: a if unit else a / c for v, a in form.items() if a}
 
     for k, m in dict.fromkeys((min(a, b), max(a, b)) for a, b in d_w if a != b):
+        # g_m D_W[m][k] - g_k D_W[k][m], times g_m.den * g_k.den
+        g_m, g_k = gram[m][m], gram[k][k]
+        s_m = g_m.numerator * g_k.denominator
+        s_k = g_k.numerator * g_m.denominator
         row = {}
         for v, a in d_w.get((m, k), {}).items():
-            _add(row, v, gram[m][m] * a)
+            _add(row, v, s_m * a)
         for v, a in d_w.get((k, m), {}).items():
-            _add(row, v, -gram[k][k] * a)
+            _add(row, v, -s_k * a)
         row = {v: a for v, a in row.items() if a}
         if row:
             rows.append(row)
+    return rows, cells, d_w
 
+
+def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
+    """Sparse basis of the metric-symmetric derivations of a graph algebra:
+    each vector maps a flat index ``i * n + j`` to the (i, j) entry, one
+    vector per free entry of the symmetric p x p matrix A of
+    :func:`_symmetric_derivation_system`.  Counting it needs no dense
+    n x n matrices; :func:`symmetric_derivation_count` needs no basis."""
+    rows, cells, d_w = _symmetric_derivation_system(L)
+    n = L.n
     # expand each solution to flat keys: A in both triangles, then D_W
     columns = [[(a * n + b, ONE)] + ([(b * n + a, ONE)] if a != b else []) for a, b in cells]
     for (m, k), form in d_w.items():
@@ -547,6 +575,14 @@ def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
                 _add(flat, key, a * x)
         basis.append({key: x for key, x in flat.items() if x})
     return basis
+
+
+def symmetric_derivation_count(L: MetricLieAlgebra) -> int:
+    """The dimension of the metric-symmetric derivations of a graph
+    algebra: ``len(symmetric_derivation_nullspace(L))``, without expanding
+    the basis to flat keys.  Raises as that function does."""
+    rows, cells, _d_w = _symmetric_derivation_system(L)
+    return len(sparse_nullspace(rows, len(cells)))
 
 
 @dataclass(frozen=True)

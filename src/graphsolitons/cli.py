@@ -10,6 +10,7 @@ negative (non-positive graph, inequivalent subspaces, criterion mismatch),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from .algebra import (
     NotSoliton,
     check_soliton,
     graph_algebra,
-    symmetric_derivation_nullspace,
+    symmetric_derivation_count,
 )
 from .census import MAX_CENSUS_P, graph_classes_with_aut_order
 from .errors import GraphSolitonsError, GroupTooLarge
@@ -109,7 +110,7 @@ def cmd_analyze(args) -> int:
                 ],
                 "residual": fraction_str(cert.residual),
             }
-        report["sym_derivation_dim"] = len(symmetric_derivation_nullspace(algebra))
+        report["sym_derivation_dim"] = symmetric_derivation_count(algebra)
     else:
         report["failing_edge_indices"] = list(decision.failure.failing_indices)
         report["unnormalized_weights"] = [fraction_str(x) for x in decision.failure.c]
@@ -283,7 +284,10 @@ def cmd_table1(args) -> int:
     return 0 if not mismatches else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of :func:`main`, not at
+    import, and shared by later calls: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="graphsolitons",
         description="Exact soliton metrics from graphs: positivity, certificates, classification.",
@@ -326,9 +330,12 @@ def main(argv=None) -> int:
         "--max", type=_positive_int, default=8, help="largest block size (>= 1)"
     )
     p_table.set_defaults(func=cmd_table1)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

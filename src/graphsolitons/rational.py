@@ -117,9 +117,11 @@ def leading_minors_all_positive(a) -> bool:
 def sparse_nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     """Nullspace basis of a sparse homogeneous system.
 
-    ``rows`` is an iterable of ``{column: coefficient}`` dicts; they are
-    copied, never changed.  Returns one sparse vector per free column,
-    ordered by free column index; each has a 1 in its free column.
+    ``rows`` is a list of ``{column: coefficient}`` dicts; they are copied,
+    never changed.  A coefficient may be an ``int`` or a ``Fraction``; the
+    result holds ``Fraction`` values only.  Returns one sparse vector per
+    free column, ordered by free column index; each has a 1 in its free
+    column.
     Deterministic: pivot rows are chosen by (size, id), pivot columns by
     (column fill, column).
 

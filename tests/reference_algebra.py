@@ -8,6 +8,13 @@ derivations, kept as oracles for ``graphsolitons.algebra``.
   identity.
 - ``symmetric_derivation_nullspace``: the whole Leibniz system plus the
   n(n-1)/2 symmetry rows, solved in all n^2 matrix entries.
+- ``generator_symmetric_derivation_nullspace``: the solve on the p(p+1)/2
+  generator unknowns in Fraction rows, meeting-edge rows unscaled, which
+  ``algebra.symmetric_derivation_nullspace`` ran before its rows were
+  built in integers; it returns the same basis.
+- ``gram_is_symmetric``: the Gram symmetry check over all n(n-1)/2 pairs
+  that ``MetricLieAlgebra.__post_init__`` ran before it read only the
+  nonzeros.
 - ``bracket`` and ``check_jacobi``: the bracket of two sparse vectors and
   the Jacobi identity on basis triples, straight from the structure table.
 
@@ -20,6 +27,7 @@ import itertools
 from fractions import Fraction
 
 from graphsolitons.algebra import MetricLieAlgebra, NotSoliton, SolitonCertificate
+from graphsolitons.errors import NotGraphAlgebra
 from graphsolitons.rational import (
     ONE,
     ZERO,
@@ -264,6 +272,98 @@ def symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
     """Sparse basis of the metric-symmetric derivations: each vector maps a
     flat index ``i * n + j`` to the (i, j) entry."""
     return sparse_nullspace(symmetric_derivation_system(L), L.n * L.n)
+
+
+def _add(acc: dict, key, x) -> None:
+    old = acc.get(key)
+    acc[key] = x if old is None else old + x
+
+
+def generator_symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
+    """Sparse basis of the metric-symmetric derivations of a graph algebra,
+    solved on the entries of the symmetric p x p matrix A with D = A + D_W,
+    every row in Fractions: the non-edge rows of X_ij = 0, then
+    ``g_m D_W[m][k] - g_k D_W[k][m]`` for each pair of meeting edges."""
+    p, q = L.vertex_edge_split()
+    n = L.n
+    gram = L.gram
+    if len(L.gram_blocks) != n or any(gram[i][i] != ONE for i in range(p)):
+        raise NotGraphAlgebra("Gram is not the identity on V and diagonal on W")
+    targets = set()
+    for i, j, coeffs in L.brackets:
+        k, c = coeffs[0] if len(coeffs) == 1 else (0, ZERO)
+        if j >= p or k < p or not c or k in targets:
+            raise NotGraphAlgebra("brackets are not [v_i, v_j] = c e_k, one per edge vector")
+        targets.add(k)
+    if len(targets) != q:
+        raise NotGraphAlgebra("an edge vector is no bracket of vertex vectors")
+
+    var = [[0] * p for _ in range(p)]
+    cells = []
+    for a in range(p):
+        for b in range(a, p):
+            var[a][b] = var[b][a] = len(cells)
+            cells.append((a, b))
+
+    prod = L.products_into
+    bracket_map = L.bracket_map
+    rows = []
+    d_w = {}
+    for i in range(p):
+        prod_i = prod[i]
+        for j in range(i + 1, p):
+            prod_j = prod[j]
+            if not (prod_i or prod_j):
+                continue
+            x = {}
+            for k, terms in prod_j.items():
+                form = x.setdefault(k, {})
+                for u, val in terms:
+                    _add(form, var[u][i], val)
+            for k, terms in prod_i.items():
+                form = x.setdefault(k, {})
+                for u, val in terms:
+                    _add(form, var[u][j], -val)
+            edge = bracket_map.get((i, j))
+            if edge is None:
+                for form in x.values():
+                    row = {v: a for v, a in form.items() if a}
+                    if row:
+                        rows.append(row)
+            else:
+                ((k, c),) = edge.items()
+                unit = c == ONE
+                for m, form in x.items():
+                    d_w[m, k] = {v: a if unit else a / c for v, a in form.items() if a}
+
+    for k, m in dict.fromkeys((min(a, b), max(a, b)) for a, b in d_w if a != b):
+        row = {}
+        for v, a in d_w.get((m, k), {}).items():
+            _add(row, v, gram[m][m] * a)
+        for v, a in d_w.get((k, m), {}).items():
+            _add(row, v, -gram[k][k] * a)
+        row = {v: a for v, a in row.items() if a}
+        if row:
+            rows.append(row)
+
+    columns = [[(a * n + b, ONE)] + ([(b * n + a, ONE)] if a != b else []) for a, b in cells]
+    for (m, k), form in d_w.items():
+        for v, a in form.items():
+            columns[v].append((m * n + k, a))
+    basis = []
+    for vec in sparse_nullspace(rows, len(cells)):
+        flat = {}
+        for v, x in vec.items():
+            for key, a in columns[v]:
+                _add(flat, key, a * x)
+        basis.append({key: x for key, x in flat.items() if x})
+    return basis
+
+
+def gram_is_symmetric(gram) -> bool:
+    """Every pair G[i][j] == G[j][i], i < j, compared."""
+    n = len(gram)
+    return all(gram[i][j] == gram[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def bracket(L: MetricLieAlgebra, x: dict, y: dict) -> dict:

@@ -28,7 +28,7 @@ from graphsolitons import (
     solve_weights,
     symmetric_derivation_dimension,
 )
-from graphsolitons.algebra import symmetric_derivation_nullspace
+from graphsolitons.algebra import symmetric_derivation_count, symmetric_derivation_nullspace
 from graphsolitons.rational import rref
 from conftest import F, blown_up_graph, sparse_rank
 import reference_algebra
@@ -312,6 +312,8 @@ def test_symmetric_derivation_rejects_non_graph_algebra():
     )
     with pytest.raises(NotGraphAlgebra):
         symmetric_derivation_dimension(L)
+    with pytest.raises(NotGraphAlgebra):
+        symmetric_derivation_count(L)
 
 
 def test_symmetric_derivation_rejects_non_diagonal_edge_gram(paw):
@@ -327,6 +329,8 @@ def test_symmetric_derivation_rejects_non_diagonal_edge_gram(paw):
         symmetric_derivation_nullspace(skewed)
     with pytest.raises(NotGraphAlgebra):
         symmetric_derivation_dimension(skewed)
+    with pytest.raises(NotGraphAlgebra):
+        symmetric_derivation_count(skewed)
 
 
 # ------------------------------------- symmetric derivations against the oracle
@@ -349,13 +353,20 @@ def _assert_symmetric_derivations_match_oracle(g):
     """The generator construction against the n^2-unknown oracle, with the
     canonical metric, with seeded edge weights and, when g is positive,
     with its nilsoliton weights: equal dimension, equal span, and every
-    basis matrix a G-symmetric derivation."""
+    basis matrix a G-symmetric derivation.  The basis built from integer
+    rows equals the one the Fraction rows gave (same vectors, same key
+    order, Fraction values), and the count without a basis is its length."""
     weighting = is_positive(g).weighting
     metrics = [graph_algebra(g), _random_edge_metric(g, random.Random(g.p * 1009 + g.q))]
     if weighting is not None:
         metrics.append(graph_algebra(g, weighting))
     for L in metrics:
         got = symmetric_derivation_nullspace(L)
+        old = reference_algebra.generator_symmetric_derivation_nullspace(L)
+        assert got == old
+        assert [list(vec.items()) for vec in got] == [list(vec.items()) for vec in old]
+        assert all(type(x) is Fraction for vec in got for x in vec.values())
+        assert symmetric_derivation_count(L) == len(got)
         want = reference_algebra.symmetric_derivation_nullspace(L)
         assert len(got) == len(want) == sparse_rank(got) == sparse_rank(want)
         assert sparse_rank(got + want) == len(want)

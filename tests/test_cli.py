@@ -2,9 +2,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,67 @@ def test_analyze_missing_file(tmp_path, capsys):
 def test_usage_error(capsys):
     code, out, err = _run(capsys, [])
     assert code == 2
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _run_fresh(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a new interpreter."""
+    script = "import sys\nfrom graphsolitons.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    script = (
+        "import graphsolitons.cli as cli\n"
+        "before = cli._parser.cache_info().currsize\n"
+        "cli.main(['table1', '--max', '1'])\n"
+        "cli.main(['table1', '--max', '1'])\n"
+        "info = cli._parser.cache_info()\n"
+        "print(before, info.currsize, info.misses)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1 1"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # one process, one parser: every call gives what a fresh process gives
+    monkeypatch.setenv("COLUMNS", "80")
+    paw = _write(tmp_path, "paw.graph", PAW_TEXT)
+    jsonl = str(tmp_path / "census.jsonl")
+    argvs = [
+        ["census", "--max-p", "4", "--all", "-o", jsonl],
+        ["census", "--max-p", "4", "-o", jsonl],
+        ["census", "--max-p", "4", "--jobs", "0", "-o", jsonl],
+        ["analyze", paw],
+        ["--help"],
+        ["table1", "--max", "2"],
+    ]
+    results = []
+    for argv in argvs:
+        results.append(_run(capsys, argv))
+        assert cli._parser() is cli._parser()
+    codes = [code for code, _out, _err in results]
+    assert codes == [0, 0, 2, 0, 0, 0]
+    assert json.loads(results[0][1])["connected_only"] is False
+    assert json.loads(results[1][1])["connected_only"] is True
+    for argv, got in zip(argvs, results):
+        assert got == _run_fresh(argv), argv
 
 
 def test_soliton_mode_env_is_ignored(tmp_path, capsys, monkeypatch):

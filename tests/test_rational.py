@@ -74,6 +74,26 @@ def test_sparse_nullspace_edge_cases():
     assert _assert_same_basis([{0: 5}, {1: Fraction(-1, 7)}], 2) == []
 
 
+def test_sparse_nullspace_int_rows_give_the_fraction_rows_basis():
+    # int coefficients, and rows scaled by nonzero scalars, give the basis of
+    # the Fraction rows: same vectors, same key order, Fraction values
+    rng = random.Random(4096)
+    for _ in range(600):
+        ncols = rng.randint(1, 20)
+        rows = []
+        for _ in range(rng.randint(0, 24)):
+            cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+            rows.append({c: rng.randint(-4, 4) for c in cols})  # zeros stay in
+        want = _assert_same_basis([{c: Fraction(v) for c, v in row.items()} for row in rows], ncols)
+        scales = [rng.choice((-3, 2, 5, Fraction(-2, 7))) for _ in rows]
+        scaled = [{c: f * v for c, v in row.items()} for f, row in zip(scales, rows)]
+        for variant in (rows, scaled):
+            got = sparse_nullspace(variant, ncols)
+            assert got == want
+            assert [list(vec.items()) for vec in got] == [list(vec.items()) for vec in want]
+            assert all(type(x) is Fraction for vec in got for x in vec.values())
+
+
 def _reference_symmetric_system(L):
     """The Leibniz rows plus the symmetry rows (G A)_{ij} = (A^T G)_{ij},
     i < j, built by scanning the dense Gram matrix."""

@@ -243,6 +243,87 @@ def test_gram_check_by_blocks_accepts_and_rejects_as_the_whole_matrix():
     assert accepted > 50 and rejected > 50
 
 
+def _gram_outcome(gram):
+    """"accepted", or the message of the DegenerateGram that the algebra's
+    constructor raises for this Gram."""
+    n = len(gram)
+    labels = tuple(f"x{i}" for i in range(n))
+    try:
+        MetricLieAlgebra(n=n, labels=labels, brackets=(), gram=tuple(map(tuple, gram)))
+    except DegenerateGram as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _reference_gram_outcome(gram):
+    """The same verdict from the all-pairs symmetry check and the leading
+    minors of the whole matrix."""
+    if not reference_algebra.gram_is_symmetric(gram):
+        return "gram is not symmetric"
+    if leading_minors_all_positive(gram):
+        return "accepted"
+    return "gram is not positive definite"
+
+
+def _skewed_copies(rng, gram):
+    """Copies of gram changed at one off-diagonal entry (i, j) only: a zero
+    facing a nonzero, or two different nonzeros."""
+    n = len(gram)
+    if n < 2:
+        return []
+    i, j = rng.sample(range(n), 2)
+    copies = []
+    for x in (F(0), F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))):
+        if x != gram[j][i]:
+            copy = [list(row) for row in gram]
+            copy[i][j] = x
+            copies.append(copy)
+    return copies
+
+
+def test_gram_check_over_nonzeros_accepts_and_rejects_as_all_pairs():
+    rng = random.Random(1729)
+    grams = []
+    # the non-diagonal Grams of solvable extensions
+    extension_grams = 0
+    for edges, p in ((((1, 2), (2, 3), (3, 4), (1, 3)), 4), (((1, 2), (2, 3), (3, 4), (1, 4)), 4),
+                     (tuple((i, j) for i in range(1, 5) for j in range(i + 1, 5)), 4),
+                     (((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)), 5)):
+        g = Graph(p=p, edges=edges)
+        w = is_positive(g).weighting
+        for r in (1, 2, 3):
+            vectors = [[F(rng.randint(-2, 2)) for _ in range(p)] for _ in range(r)]
+            s = SubspaceParam.from_vectors(p, vectors)
+            if s.r == 0:
+                continue
+            gram = [list(row) for row in build_solsoliton(g, w, s).gram]
+            extension_grams += any(x for i, row in enumerate(gram) for j, x in enumerate(row) if i != j)
+            grams.append(gram)
+            grams.extend(_skewed_copies(rng, gram))
+    assert extension_grams >= 8
+    # seeded symmetric Grams from diagonal through sparse to dense, some
+    # blocks not positive definite, each with its skewed copies
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        gram = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = F(rng.randint(-1, 6), rng.randint(1, 3))
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    gram[i][j] = gram[j][i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+        grams.append(gram)
+        grams.extend(_skewed_copies(rng, gram))
+    seen = Counter()
+    for gram in grams:
+        outcome = _gram_outcome(gram)
+        assert outcome == _reference_gram_outcome(gram)
+        seen[outcome] += 1
+    assert seen["accepted"] > 100
+    assert seen["gram is not symmetric"] > 500
+    assert seen["gram is not positive definite"] > 100
+
+
 # ---------------------------------------------------------------- double path
 
 def test_ricci_matches_closed_form_on_every_connected_graph_up_to_six_vertices():

@@ -7,15 +7,19 @@ matrix.  The Ricci operator of the corresponding left-invariant metric is
 
 where M is the two-term moment-map part, B the Killing operator, H the mean
 curvature vector (``<H,x> = tr ad_x``), and ``S`` the metric symmetrization
-``A -> (A + A*)/2``.  Everything is computed exactly over Fractions, and
-sparsely: G^-1 is inverted block by block over the connected components of
-the Gram matrix's nonzero pattern (a diagonal Gram costs one division per
-basis vector), and every product in Ric pairs only entries that share a
-nonzero.  The soliton check lists, straight from the structure tables, only
-the Leibniz rows that meet a nonzero of Ric or a diagonal entry (q rows on
-a graph algebra) and evaluates them on those entries alone.  The whole
-Leibniz system is built only by :func:`derivation_space`,
-:func:`is_derivation` and the least squares of a failed check.
+``A -> (A + A*)/2``.  Everything is computed exactly and sparsely: G^-1 is
+inverted block by block over the connected components of the Gram matrix's
+nonzero pattern (a diagonal Gram costs no division at all), and every
+product in Ric pairs only entries that share a nonzero.  Ric's products and
+sums run over Python ints with shared denominators, and a Fraction is built
+only for each nonzero of Ric, for c and for the certificate.  The soliton
+check reads, straight from the structure tables scaled to ints, only the
+Leibniz rows that meet a nonzero of Ric or a diagonal entry (q rows on a
+graph algebra), evaluates them on those entries alone, as ints over the
+lcm of Ric's reduced denominators, and compares them by cross-multiplying.
+The whole Leibniz system, in Fractions, is built only by
+:func:`derivation_space`, :func:`is_derivation` and the least squares of a
+failed check.
 
 A metric algebra is a *Ricci soliton* when ``Ric = c I + D`` for a scalar c
 and a derivation D.  Membership of ``Ric - c I`` in the derivation algebra is
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     DegenerateGram,
@@ -132,12 +137,7 @@ class MetricLieAlgebra:
     @cached_property
     def products_into(self) -> tuple:
         """products_into[j][k] lists (u, val) with val = c^k_{uj} != 0."""
-        prod = [dict() for _ in range(self.n)]
-        for (i, j), coeffs in self.bracket_map.items():
-            for k, val in coeffs.items():
-                prod[j].setdefault(k, []).append((i, val))
-                prod[i].setdefault(k, []).append((j, -val))
-        return tuple(prod)
+        return _products_into(self.bracket_map, self.n)
 
     @cached_property
     def leibniz(self) -> tuple[dict[int, Fraction], ...]:
@@ -151,12 +151,20 @@ class MetricLieAlgebra:
     @cached_property
     def ad_entries(self) -> tuple:
         """ad_entries[a] lists (k, j, val): (ad b_a)_{kj} = c^k_{aj} = val."""
-        ads = [[] for _ in range(self.n)]
-        for (i, j), coeffs in self.bracket_map.items():
-            for k, val in coeffs.items():
-                ads[i].append((k, j, val))
-                ads[j].append((k, i, -val))
-        return tuple(tuple(x) for x in ads)
+        return _ad_entries(self.bracket_map, self.n)
+
+    @cached_property
+    def scaled_structure(self) -> tuple[int, dict, tuple, tuple]:
+        """``(s, bracket_map, products_into, ad_entries)`` in ints: s is the
+        lcm of the structure constants' denominators, and each table holds
+        every constant times s, in the layout of the attribute of that name.
+        Read by :func:`ricci` and :func:`check_soliton`."""
+        s = lcm(*(val.denominator for _i, _j, coeffs in self.brackets for _k, val in coeffs))
+        bracket_map = {
+            (i, j): {k: val.numerator * (s // val.denominator) for k, val in coeffs}
+            for i, j, coeffs in self.brackets
+        }
+        return s, bracket_map, _products_into(bracket_map, self.n), _ad_entries(bracket_map, self.n)
 
     def vertex_edge_split(self) -> tuple[int, int]:
         """(#vertex labels, #edge labels); raises unless the algebra was built
@@ -168,6 +176,24 @@ class MetricLieAlgebra:
         ]:
             raise NotGraphAlgebra("algebra was not built from a graph")
         return p, q
+
+
+def _products_into(bracket_map: dict, n: int) -> tuple:
+    prod = [{} for _ in range(n)]
+    for (i, j), coeffs in bracket_map.items():
+        for k, val in coeffs.items():
+            prod[j].setdefault(k, []).append((i, val))
+            prod[i].setdefault(k, []).append((j, -val))
+    return tuple(prod)
+
+
+def _ad_entries(bracket_map: dict, n: int) -> tuple:
+    ads = [[] for _ in range(n)]
+    for (i, j), coeffs in bracket_map.items():
+        for k, val in coeffs.items():
+            ads[i].append((k, j, val))
+            ads[j].append((k, i, -val))
+    return tuple(tuple(x) for x in ads)
 
 
 def graph_algebra(g: Graph, w: Weighting | None = None) -> MetricLieAlgebra:
@@ -209,20 +235,26 @@ def graph_ricci_diagonal(g: Graph, w: Weighting | None = None) -> list[Fraction]
     return diag
 
 
-def _gram_inverse_rows(L: MetricLieAlgebra) -> list[list[tuple[int, Fraction]]]:
-    """The nonzeros of G^-1, row by row, inverted block by block over
-    ``L.gram_blocks``: a 1x1 block is ``1/g``; only a larger block goes
-    through :func:`inverse`."""
+def _gram_inverse_rows(L: MetricLieAlgebra) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """G^-1 in integers, row by row: ``(rows, dens)``, where ``(j, x)`` in
+    rows[i] is the nonzero G^-1_ij = x / dens[i] and dens[i] > 0 is the lcm
+    of row i's denominators.  Inverted block by block over
+    ``L.gram_blocks``: a 1x1 block g gives g.denominator over g.numerator;
+    only a larger block goes through :func:`inverse`."""
     rows = [[] for _ in range(L.n)]
+    dens = [1] * L.n
     for block in L.gram_blocks:
         if len(block) == 1:
             (i,) = block
-            rows[i].append((i, ONE / L.gram[i][i]))
+            g = L.gram[i][i]
+            rows[i] = [(i, g.denominator)]
+            dens[i] = g.numerator
             continue
         inv = inverse([[L.gram[i][j] for j in block] for i in block])
         for i, inv_row in zip(block, inv):
-            rows[i] = [(j, x) for j, x in zip(block, inv_row) if x]
-    return rows
+            d = dens[i] = lcm(*(x.denominator for x in inv_row))
+            rows[i] = [(j, x.numerator * (d // x.denominator)) for j, x in zip(block, inv_row) if x]
+    return rows, dens
 
 
 def _add(acc: dict, key, x) -> None:
@@ -241,6 +273,153 @@ def _add_pair_sums(out: list[dict], left, index: dict) -> None:
                     _add(acc, b, x * y)
 
 
+def _ricci_rows(L: MetricLieAlgebra) -> tuple[list[dict[int, int]], list[int]]:
+    """Ric in integers, row by row: ``(rows, dens)``, Ric_ij = rows[i][j] /
+    dens[i], not reduced.  The formula and its sparse products are those of
+    :func:`ricci`; only the arithmetic differs.
+
+    The structure constants (``L.scaled_structure``), G, and the rows of
+    G^-1 that the inner sums read are scaled to ints over the lcm of their
+    denominators: dc, dg and dh.  So F is an int matrix over the one
+    denominator 4 (dc dg dh)^2, and the outer G^-1, in G^-1 F and in the
+    G^-1 ad_H^T G part of S(ad_H), is applied per row, over that row's own
+    denominator.  Where a 1x1 Gram block's g and 1/g meet on one index (the
+    diagonal action (k, k) in G ad_b G^-1, the key (a, j) of R^(a)) the
+    product is taken as 1, so 1/g stays out of dh: on a graph algebra, with
+    the Gram 1 on the vertices, dh = 1 and no weight's numerator enters F.
+    """
+    n = L.n
+    single = [False] * n
+    for block in L.gram_blocks:
+        if len(block) == 1:
+            single[block[0]] = True
+    dc, bracket_map, _prods, ads = L.scaled_structure
+    dg = lcm(*(x.denominator for row in L.gram_rows for _j, x in row))
+    g_rows = [[(j, x.numerator * (dg // x.denominator)) for j, x in row] for row in L.gram_rows]
+    ginv_rows, ginv_dens = _gram_inverse_rows(L)
+    traces = [sum(v for k, j, v in ad if k == j) for ad in ads]
+
+    # the rows of G^-1 that the inner sums read, scaled over their lcm dh
+    read = set()
+    for ad in ads:
+        for k, j, _v in ad:
+            if k != j or not single[k]:
+                read.add(j)
+    for (i, j), coeffs in bracket_map.items():
+        for k in coeffs:
+            if not single[k]:
+                read.update((i, j))
+            else:
+                read.update(u for u in (i, j) if u != k)
+    if any(traces):
+        read.update(a for a in range(n) if any(traces[k] for k, _y in ginv_rows[a]))
+    dh = lcm(*(ginv_dens[j] for j in read))
+    hinv_rows = [
+        [(t, y * (dh // ginv_dens[j])) for t, y in ginv_rows[j]] if j in read else None
+        for j in range(n)
+    ]
+    gd = dg * dh
+
+    f = [{} for _ in range(n)]
+    # -1/2 sum_{st} (ad_a)_{st} (G ad_b G^-1)_{st} and the Killing term
+    # -1/2 sum_{kj} (ad_a)_{kj} (ad_b)_{jk}, both paired with ad_a:
+    # index[s * n + t][b] holds (G ad_b G^-1)_{st} + (ad_b)_{ts}, over dc dg dh.
+    index = {}
+    for b, ad in enumerate(ads):
+        for k, j, v in ad:
+            if k == j and single[k]:
+                _add(index.setdefault(k * n + k, {}), b, v * gd)
+            else:
+                for s, gsk in g_rows[k]:
+                    x = gsk * v
+                    for t, y in hinv_rows[j]:
+                        _add(index.setdefault(s * n + t, {}), b, x * y)
+            _add(index.setdefault(j * n + k, {}), b, v * gd)
+    m = -2 * gd
+    _add_pair_sums(f, [[(k * n + j, m * v) for k, j, v in ad] for ad in ads], index)
+
+    # -1/4 tr(Q_a Q_b), Q_a = G^-1 R^(a), R^(a)_{ij} = <[b_i,b_j], b_a>,
+    # Q over dc dg dh: index[i * n + j][b] holds (Q_b)_{ji}.
+    r_forms = [{} for _ in range(n)]
+    qs = [{} for _ in range(n)]
+    for (i, j), coeffs in bracket_map.items():
+        for k, val in coeffs.items():
+            for a, gka in g_rows[k]:
+                x = val * gka
+                if single[a] and i == a:  # then k = a: G^-1_aa R^(a)_aj = c^a_aj
+                    _add(qs[a], i * n + j, val * gd)
+                else:
+                    _add(r_forms[a], (i, j), x)
+                if single[a] and j == a:
+                    _add(qs[a], j * n + i, -val * gd)
+                else:
+                    _add(r_forms[a], (j, i), -x)
+    for q, r_form in zip(qs, r_forms):
+        for (k, j), x in r_form.items():
+            for i, y in hinv_rows[k]:
+                _add(q, i * n + j, y * x)
+    index = {}
+    for b, q in enumerate(qs):
+        for key, x in q.items():
+            j, i = divmod(key, n)
+            index.setdefault(i * n + j, {})[b] = x
+    _add_pair_sums(f, [[(key, -x) for key, x in q.items()] for q in qs], index)
+
+    # G^-1 F, F over den_f = 4 (dc dg dh)^2
+    den_f = 4 * dc * dc * gd * gd
+    rows = []
+    for i in range(n):
+        row = {}
+        for k, y in ginv_rows[i]:
+            for b, x in f[k].items():
+                _add(row, b, y * x)
+        rows.append(row)
+
+    # mean curvature: <H, b_a> = tr(ad b_a), H = G^-1 traces;
+    # S(ad_H) = (ad_H + G^-1 ad_H^T G)/2
+    if any(traces):
+        ad_h = {}  # over dh dc^2
+        for a in range(n):
+            if hinv_rows[a] is not None:
+                h = sum(y * traces[k] for k, y in hinv_rows[a])
+                if h:
+                    for k, j, v in ads[a]:
+                        _add(ad_h, k * n + j, h * v)
+        adj_g = {}  # ad_H^T G by row, over dh dc^2 dg
+        for key, v in ad_h.items():
+            k, j = divmod(key, n)
+            row = adj_g.setdefault(j, {})
+            for t, gkt in g_rows[k]:
+                _add(row, t, v * gkt)
+        # row i is over den_f dens[i]: scale both halves of S(ad_H)/2 to it
+        m_ad = 2 * dg * gd
+        for key, v in ad_h.items():
+            i, t = divmod(key, n)
+            _add(rows[i], t, -m_ad * ginv_dens[i] * v)
+        m_adj = -2 * gd
+        for i, row in enumerate(rows):
+            for j, y in ginv_rows[i]:
+                for t, x in adj_g.get(j, {}).items():
+                    _add(row, t, m_adj * y * x)
+    return rows, [den_f * d for d in ginv_dens]
+
+
+def _ricci_nonzeros(L: MetricLieAlgebra) -> tuple[dict[int, Fraction], dict[int, int], int]:
+    """Ric's nonzeros by flat key ``i * n + j``: ``(fracs, ints, den)``, each
+    entry reduced once to a Fraction in fracs, and as an int over den, the
+    lcm of those reduced denominators, in ints."""
+    n = L.n
+    rows, dens = _ricci_rows(L)
+    fracs = {}
+    for i, (row, d) in enumerate(zip(rows, dens)):
+        for j, x in row.items():
+            if x:
+                fracs[i * n + j] = Fraction(x, d)
+    den = lcm(*(x.denominator for x in fracs.values()))
+    ints = {key: x.numerator * (den // x.denominator) for key, x in fracs.items()}
+    return fracs, ints, den
+
+
 def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
     """The Ricci operator in the algebra's basis, as a dense Fraction matrix.
 
@@ -252,84 +431,15 @@ def ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
     where ``Q_a = G^-1 R^(a)`` and ``R^(a)_{ij} = <[b_i, b_j], b_a>``.  Every
     product runs over nonzeros only: G^-1 is inverted by Gram blocks, and
     each pairing of a with b goes through an index keyed by matrix position,
-    so only pairs that share a nonzero are multiplied.
+    so only pairs that share a nonzero are multiplied.  The products and
+    sums run over ints with shared denominators (:func:`_ricci_rows`); a
+    Fraction is built for each nonzero of Ric only.
     """
     n = L.n
-    g_rows = L.gram_rows
-    ginv_rows = _gram_inverse_rows(L)
-    ads = L.ad_entries
-
-    f = [{} for _ in range(n)]
-    # -1/2 sum_{st} (ad_a)_{st} (G ad_b G^-1)_{st} and the Killing term
-    # -1/2 sum_{kj} (ad_a)_{kj} (ad_b)_{jk}, both paired with ad_a:
-    # index[(s, t)][b] holds (G ad_b G^-1)_{st} + (ad_b)_{ts}.
-    index = {}
-    for b in range(n):
-        for k, j, v in ads[b]:
-            for s, gsk in g_rows[k]:
-                x = gsk * v
-                for t, y in ginv_rows[j]:
-                    _add(index.setdefault((s, t), {}), b, x * y)
-            _add(index.setdefault((j, k), {}), b, v)
-    _add_pair_sums(f, [[((k, j), -v / 2) for k, j, v in ad] for ad in ads], index)
-
-    # -1/4 tr(Q_a Q_b), Q_a = G^-1 R^(a), R^(a)_{ij} = <[b_i,b_j], b_a>:
-    # index[(i, j)][b] holds (Q_b)_{ji}.
-    r_forms = [{} for _ in range(n)]
-    for (i, j), coeffs in L.bracket_map.items():
-        for k, val in coeffs.items():
-            for a, gka in g_rows[k]:
-                x = val * gka
-                _add(r_forms[a], (i, j), x)
-                _add(r_forms[a], (j, i), -x)
-    qs = []
-    for r_form in r_forms:
-        q = {}
-        for (k, j), x in r_form.items():
-            for i, y in ginv_rows[k]:
-                _add(q, (i, j), y * x)
-        qs.append(q)
-    index = {}
-    for b, q in enumerate(qs):
-        for (j, i), x in q.items():
-            index.setdefault((i, j), {})[b] = x
-    _add_pair_sums(f, [[(key, -x / 4) for key, x in q.items()] for q in qs], index)
-
-    ric = []
-    for i in range(n):
-        row = {}
-        for k, y in ginv_rows[i]:
-            for b, x in f[k].items():
-                _add(row, b, y * x)
-        ric.append(row)
-
-    # mean curvature: <H, b_a> = tr(ad b_a), H = G^-1 traces;
-    # S(ad_H) = (ad_H + G^-1 ad_H^T G)/2
-    traces = [sum((v for k, j, v in ads[a] if k == j), ZERO) for a in range(n)]
-    if any(traces):
-        ad_h = {}
-        for a in range(n):
-            h = sum((y * traces[k] for k, y in ginv_rows[a]), ZERO)
-            if h:
-                for k, j, v in ads[a]:
-                    _add(ad_h, (k, j), h * v)
-        # ad_H^T G, then G^-1 (ad_H^T G)
-        adj_g = {}
-        for (k, j), v in ad_h.items():
-            for t, gkt in g_rows[k]:
-                _add(adj_g, (j, t), v * gkt)
-        s_h = dict(ad_h)
-        for (j, t), x in adj_g.items():
-            for i, y in ginv_rows[j]:
-                _add(s_h, (i, t), y * x)
-        for (i, j), x in s_h.items():
-            _add(ric[i], j, -x / 2)
-
     dense = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(ric):
-        out = dense[i]
-        for j, x in row.items():
-            out[j] = x
+    for key, x in _ricci_nonzeros(L)[0].items():
+        i, j = divmod(key, n)
+        dense[i][j] = x
     return dense
 
 
@@ -389,9 +499,10 @@ def leibniz_rows(L: MetricLieAlgebra) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _leibniz_rows_meeting(L: MetricLieAlgebra, keys) -> list[dict[int, Fraction]]:
-    """The rows of :func:`leibniz_rows` that hold at least one flat key of
-    ``keys`` (a set), each once, listed straight from the structure tables.
+def _pairs_meeting(L: MetricLieAlgebra, keys) -> dict[tuple[int, int], dict[int, None]]:
+    """The rows of :func:`leibniz_rows` that may hold a flat key of ``keys``
+    (a set), as ``{(i, j): {k: None}}``, each row (i, j, k) once, listed
+    straight from the structure tables.
 
     Key a*n+b, the entry D[a][b], enters row (i, j, k) in two ways only:
     as D[k][u] with k = a and u = b, when [b_i, b_j] has a b-component;
@@ -399,7 +510,7 @@ def _leibniz_rows_meeting(L: MetricLieAlgebra, keys) -> list[dict[int, Fraction]
     c^k_{ax} != 0, which ``L.ad_entries[a]`` lists.
     """
     n = L.n
-    ads = L.ad_entries
+    ads = L.scaled_structure[3]  # the nonzeros of L.ad_entries, in ints
     found = {}  # (i, j) -> the output coordinates k, each once
     by_col = {}  # b -> the rows a of the keys a*n+b in column b
     for key in keys:
@@ -412,10 +523,7 @@ def _leibniz_rows_meeting(L: MetricLieAlgebra, keys) -> list[dict[int, Fraction]
         for u, _val in coeffs:
             for a in by_col.get(u, ()):
                 found.setdefault((i, j), {})[a] = None
-    rows = []
-    for (i, j), ks in found.items():
-        rows.extend(row for row in _leibniz_pair_rows(L, i, j, ks) if not keys.isdisjoint(row))
-    return rows
+    return found
 
 
 def _eval_row(row: dict, m, n: int) -> Fraction:
@@ -611,41 +719,69 @@ def check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
     c; the unique candidate (or the traceless choice when the identity is
     itself a derivation) is checked exactly.  Only the functionals that
     hold a nonzero of Ric or a diagonal entry can fail, so only those rows
-    are listed (:func:`_leibniz_rows_meeting`); the whole system is built
-    for the least squares of a negative answer alone.  Returns a
-    :class:`SolitonCertificate` with residual 0, or :class:`NotSoliton` with
-    the exact max-norm residual of the least-squares projection.
+    are read (:func:`_pairs_meeting`), straight from the integer structure
+    tables, at Ric's nonzeros as ints over their common denominator
+    (:func:`_ricci_nonzeros`); the values are compared by
+    cross-multiplication.  The whole system is built for the least squares
+    of a negative answer alone.  Returns a :class:`SolitonCertificate` with
+    residual 0, or :class:`NotSoliton` with the exact max-norm residual of
+    the least-squares projection.
     """
     n = L.n
-    ric = ricci(L)
-    ric_nz = {i * n + j: v for i, row in enumerate(ric) for j, v in enumerate(row) if v}
-    # Each Leibniz functional at Ric (rv) and at I (iv: the sum of the
-    # row's diagonal keys, k * n + k = k * (n + 1)); a row that holds no
-    # probe key vanishes at both, and rows where both vanish hold for every
-    # c and are dropped.
-    probe = ric_nz.keys() | {k * (n + 1) for k in range(n)}
+    fracs, ints, den = _ricci_nonzeros(L)
+    _s, bracket_map, prods, _ads = L.scaled_structure
+    # Each Leibniz functional at Ric (rv, times den and s) and at I (iv,
+    # times s: the sum of the row's coefficients at diagonal keys); a row
+    # that holds no probe key vanishes at both, and rows where both vanish
+    # hold for every c and are dropped.
+    diagonal = [k * (n + 1) for k in range(n)]
     vals = []
-    for row in _leibniz_rows_meeting(L, probe):
-        rv = iv = ZERO
-        for key, v in row.items():
-            x = ric_nz.get(key)
-            if x is not None:
-                rv += v * x
-            if key % (n + 1) == 0:
-                iv += v
-        if rv or iv:
-            vals.append((rv, iv))
-    c = next((rv / iv for rv, iv in vals if iv), None)
-    if c is None:
+    for (i, j), ks in _pairs_meeting(L, ints.keys() | set(diagonal)).items():
+        coeffs = bracket_map.get((i, j), {})
+        prod_i = prods[i]
+        prod_j = prods[j]
+        for k in ks:
+            rv = iv = 0
+            for u, val in coeffs.items():
+                x = ints.get(k * n + u)
+                if x:
+                    rv += val * x
+                if u == k:
+                    iv += val
+            for u, val in prod_j.get(k, ()):
+                x = ints.get(u * n + i)
+                if x:
+                    rv -= val * x
+                if u == i:
+                    iv -= val
+            for u, val in prod_i.get(k, ()):
+                x = ints.get(u * n + j)
+                if x:
+                    rv += val * x
+                if u == j:
+                    iv += val
+            if rv or iv:
+                vals.append((rv, iv))
+    first = next(((rv, iv) for rv, iv in vals if iv), None)
+    if first is None:
         # the identity is a derivation: so must Ric be, and c makes D traceless
         if vals:
-            return _not_soliton(L, ric_nz)
-        c = sum(ric[i][i] for i in range(n)) / n
-    elif any(rv != c * iv if iv else rv for rv, iv in vals):
-        return _not_soliton(L, ric_nz)
-    for i, row in enumerate(ric):
-        row[i] -= c
-    return SolitonCertificate(c=c, derivation=tuple(map(tuple, ric)), residual=ZERO)
+            return _not_soliton(L, fracs)
+        c = Fraction(sum(ints.get(key, 0) for key in diagonal), den * n)
+    else:
+        rv0, iv0 = first
+        if any(rv * iv0 != rv0 * iv if iv else rv for rv, iv in vals):
+            return _not_soliton(L, fracs)
+        c = Fraction(rv0, iv0 * den)
+    derivation = [[ZERO] * n for _ in range(n)]
+    for key, x in fracs.items():
+        i, j = divmod(key, n)
+        derivation[i][j] = x
+    cn, cd = c.numerator, c.denominator
+    for i, key in enumerate(diagonal):
+        x = ints.get(key)
+        derivation[i][i] = Fraction(x * cd - cn * den, den * cd) if x else -c
+    return SolitonCertificate(c=c, derivation=tuple(map(tuple, derivation)), residual=ZERO)
 
 
 def _not_soliton(L, ric_nz: dict) -> NotSoliton:

@@ -1,17 +1,22 @@
 """Shared fixtures: small reference graphs and cached census classes."""
 
+import importlib.util
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from graphsolitons import (
     Graph,
     MetricLieAlgebra,
+    SubspaceParam,
+    build_solsoliton,
     graph_algebra,
     graph_classes,
     graph_classes_with_aut_order,
+    is_positive,
 )
 
 # Triangle 1-2-3 with a pendant edge 3-4 ("paw"), edges ordered so the edge
@@ -79,6 +84,26 @@ def p3_and_k3_with_off_diagonal_gram():
         yield MetricLieAlgebra(
             n=n, labels=base.labels, brackets=base.brackets, gram=tuple(map(tuple, gram))
         )
+
+
+def large_algebras():
+    """``(label, algebra)`` for the seeded large graphs of
+    ``tools/same_output.py`` (twin-free, connected and positive, with a path
+    backbone: p = 20, q = 80; p = 30, q = 70; p = 50, q = 50): each graph
+    algebra under its nilsoliton metric, then its solvable extensions on
+    the tool's seeded subspaces of every rank it lists."""
+    spec = importlib.util.spec_from_file_location(
+        "same_output", Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for p, q, seed in tool.LARGE_GRAPHS:
+        g = Graph(p=p, edges=tuple(tool.large_graph(p, q, seed)))
+        w = is_positive(g).weighting
+        yield f"p{p}q{q}", graph_algebra(g, w)
+        for r in tool.LARGE_RANKS:
+            vectors = [[F(x) for x in v] for v in tool.large_subspace(p, r, seed)]
+            yield f"p{p}q{q}r{r}", build_solsoliton(g, w, SubspaceParam.from_vectors(p, vectors))
 
 
 def blown_up_graph(rng, p, max_blocks=None):

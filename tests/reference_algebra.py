@@ -12,6 +12,13 @@ derivations, kept as oracles for ``graphsolitons.algebra``.
   generator unknowns in Fraction rows, meeting-edge rows unscaled, which
   ``algebra.symmetric_derivation_nullspace`` ran before its rows were
   built in integers; it returns the same basis.
+- ``fraction_ricci`` and ``fraction_check_soliton``: the sparse Fraction
+  path that ``algebra.ricci`` and ``algebra.check_soliton`` ran before
+  they computed in integers over shared denominators: G^-1 inverted by
+  Gram blocks, every product over nonzeros only, every intermediate a
+  Fraction; the check reads the dense Ricci matrix and evaluates the
+  selected Leibniz rows, built as Fraction dicts by
+  ``_leibniz_rows_meeting``, in Fractions.
 - ``gram_is_symmetric``: the Gram symmetry check over all n(n-1)/2 pairs
   that ``MetricLieAlgebra.__post_init__`` ran before it read only the
   nonzeros.
@@ -26,7 +33,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from graphsolitons.algebra import MetricLieAlgebra, NotSoliton, SolitonCertificate
+from graphsolitons.algebra import (
+    MetricLieAlgebra,
+    NotSoliton,
+    SolitonCertificate,
+    _leibniz_pair_rows,
+    _pairs_meeting,
+)
 from graphsolitons.errors import NotGraphAlgebra
 from graphsolitons.rational import (
     ONE,
@@ -358,6 +371,188 @@ def generator_symmetric_derivation_nullspace(L: MetricLieAlgebra) -> list[dict]:
                 _add(flat, key, a * x)
         basis.append({key: x for key, x in flat.items() if x})
     return basis
+
+
+def _fraction_gram_inverse_rows(L: MetricLieAlgebra) -> list[list[tuple[int, Fraction]]]:
+    """The nonzeros of G^-1, row by row, inverted block by block over
+    ``L.gram_blocks``: a 1x1 block is ``1/g``; only a larger block goes
+    through :func:`inverse`."""
+    rows = [[] for _ in range(L.n)]
+    for block in L.gram_blocks:
+        if len(block) == 1:
+            (i,) = block
+            rows[i].append((i, ONE / L.gram[i][i]))
+            continue
+        inv = inverse([[L.gram[i][j] for j in block] for i in block])
+        for i, inv_row in zip(block, inv):
+            rows[i] = [(j, x) for j, x in zip(block, inv_row) if x]
+    return rows
+
+
+def _add_pair_sums(out: list[dict], left, index: dict) -> None:
+    """out[a][b] += sum over keys of left[a][key] * index[key][b]: only the
+    pairs (a, b) that share a key meet."""
+    for acc, entries in zip(out, left):
+        for key, x in entries:
+            col = index.get(key)
+            if col:
+                for b, y in col.items():
+                    _add(acc, b, x * y)
+
+
+def _leibniz_rows_meeting(L: MetricLieAlgebra, keys) -> list[dict[int, Fraction]]:
+    """The rows of ``leibniz_rows`` that hold at least one flat key of
+    ``keys`` (a set), each once: those of ``algebra._pairs_meeting`` that
+    do, built by ``algebra._leibniz_pair_rows``."""
+    rows = []
+    for (i, j), ks in _pairs_meeting(L, keys).items():
+        rows.extend(row for row in _leibniz_pair_rows(L, i, j, ks) if not keys.isdisjoint(row))
+    return rows
+
+
+def fraction_ricci(L: MetricLieAlgebra) -> list[list[Fraction]]:
+    """The Ricci operator in the algebra's basis, as a dense Fraction matrix.
+
+    ``Ric = G^-1 F - S(ad_H)`` with the symmetric form
+
+        F(a, b) = -1/2 sum_{st} (ad_a)_{st} (G ad_b G^-1)_{st}
+                  - 1/4 tr(Q_a Q_b) - 1/2 tr(ad_a ad_b)
+
+    where ``Q_a = G^-1 R^(a)`` and ``R^(a)_{ij} = <[b_i, b_j], b_a>``.  Every
+    product runs over nonzeros only: G^-1 is inverted by Gram blocks, and
+    each pairing of a with b goes through an index keyed by matrix position,
+    so only pairs that share a nonzero are multiplied.
+    """
+    n = L.n
+    g_rows = L.gram_rows
+    ginv_rows = _fraction_gram_inverse_rows(L)
+    ads = L.ad_entries
+
+    f = [{} for _ in range(n)]
+    # -1/2 sum_{st} (ad_a)_{st} (G ad_b G^-1)_{st} and the Killing term
+    # -1/2 sum_{kj} (ad_a)_{kj} (ad_b)_{jk}, both paired with ad_a:
+    # index[(s, t)][b] holds (G ad_b G^-1)_{st} + (ad_b)_{ts}.
+    index = {}
+    for b in range(n):
+        for k, j, v in ads[b]:
+            for s, gsk in g_rows[k]:
+                x = gsk * v
+                for t, y in ginv_rows[j]:
+                    _add(index.setdefault((s, t), {}), b, x * y)
+            _add(index.setdefault((j, k), {}), b, v)
+    _add_pair_sums(f, [[((k, j), -v / 2) for k, j, v in ad] for ad in ads], index)
+
+    # -1/4 tr(Q_a Q_b), Q_a = G^-1 R^(a), R^(a)_{ij} = <[b_i,b_j], b_a>:
+    # index[(i, j)][b] holds (Q_b)_{ji}.
+    r_forms = [{} for _ in range(n)]
+    for (i, j), coeffs in L.bracket_map.items():
+        for k, val in coeffs.items():
+            for a, gka in g_rows[k]:
+                x = val * gka
+                _add(r_forms[a], (i, j), x)
+                _add(r_forms[a], (j, i), -x)
+    qs = []
+    for r_form in r_forms:
+        q = {}
+        for (k, j), x in r_form.items():
+            for i, y in ginv_rows[k]:
+                _add(q, (i, j), y * x)
+        qs.append(q)
+    index = {}
+    for b, q in enumerate(qs):
+        for (j, i), x in q.items():
+            index.setdefault((i, j), {})[b] = x
+    _add_pair_sums(f, [[(key, -x / 4) for key, x in q.items()] for q in qs], index)
+
+    ric = []
+    for i in range(n):
+        row = {}
+        for k, y in ginv_rows[i]:
+            for b, x in f[k].items():
+                _add(row, b, y * x)
+        ric.append(row)
+
+    # mean curvature: <H, b_a> = tr(ad b_a), H = G^-1 traces;
+    # S(ad_H) = (ad_H + G^-1 ad_H^T G)/2
+    traces = [sum((v for k, j, v in ads[a] if k == j), ZERO) for a in range(n)]
+    if any(traces):
+        ad_h = {}
+        for a in range(n):
+            h = sum((y * traces[k] for k, y in ginv_rows[a]), ZERO)
+            if h:
+                for k, j, v in ads[a]:
+                    _add(ad_h, (k, j), h * v)
+        # ad_H^T G, then G^-1 (ad_H^T G)
+        adj_g = {}
+        for (k, j), v in ad_h.items():
+            for t, gkt in g_rows[k]:
+                _add(adj_g, (j, t), v * gkt)
+        s_h = dict(ad_h)
+        for (j, t), x in adj_g.items():
+            for i, y in ginv_rows[j]:
+                _add(s_h, (i, t), y * x)
+        for (i, j), x in s_h.items():
+            _add(ric[i], j, -x / 2)
+
+    dense = [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(ric):
+        out = dense[i]
+        for j, x in row.items():
+            out[j] = x
+    return dense
+
+
+def fraction_check_soliton(L: MetricLieAlgebra) -> SolitonCertificate | NotSoliton:
+    """Decide whether the metric algebra is a Ricci soliton.
+
+    ``Ric - c I`` must satisfy every Leibniz functional, which is linear in
+    c; the unique candidate (or the traceless choice when the identity is
+    itself a derivation) is checked exactly.  Only the functionals that
+    hold a nonzero of Ric or a diagonal entry can fail, so only those rows
+    are listed (:func:`_leibniz_rows_meeting`); the whole system is built
+    for the least squares of a negative answer alone.  Returns a
+    :class:`SolitonCertificate` with residual 0, or :class:`NotSoliton` with
+    the exact max-norm residual of the least-squares projection.
+    """
+    n = L.n
+    ric = fraction_ricci(L)
+    ric_nz = {i * n + j: v for i, row in enumerate(ric) for j, v in enumerate(row) if v}
+    # Each Leibniz functional at Ric (rv) and at I (iv: the sum of the
+    # row's diagonal keys, k * n + k = k * (n + 1)); a row that holds no
+    # probe key vanishes at both, and rows where both vanish hold for every
+    # c and are dropped.
+    probe = ric_nz.keys() | {k * (n + 1) for k in range(n)}
+    vals = []
+    for row in _leibniz_rows_meeting(L, probe):
+        rv = iv = ZERO
+        for key, v in row.items():
+            x = ric_nz.get(key)
+            if x is not None:
+                rv += v * x
+            if key % (n + 1) == 0:
+                iv += v
+        if rv or iv:
+            vals.append((rv, iv))
+    c = next((rv / iv for rv, iv in vals if iv), None)
+    if c is None:
+        # the identity is a derivation: so must Ric be, and c makes D traceless
+        if vals:
+            return _fraction_not_soliton(L, ric_nz)
+        c = sum(ric[i][i] for i in range(n)) / n
+    elif any(rv != c * iv if iv else rv for rv, iv in vals):
+        return _fraction_not_soliton(L, ric_nz)
+    for i, row in enumerate(ric):
+        row[i] -= c
+    return SolitonCertificate(c=c, derivation=tuple(map(tuple, ric)), residual=ZERO)
+
+
+def _fraction_not_soliton(L, ric_nz: dict) -> NotSoliton:
+    n = L.n
+    columns = [{i * n + i: ONE for i in range(n)}]
+    columns.extend(sparse_nullspace(L.leibniz, n * n))
+    _coeffs, resid = lstsq_exact(columns, ric_nz)
+    residual = max((abs(v) for v in resid.values()), default=ZERO)
+    return NotSoliton(residual=residual)
 
 
 def gram_is_symmetric(gram) -> bool:

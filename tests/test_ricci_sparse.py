@@ -1,6 +1,7 @@
 """The sparse Ricci operator, Leibniz rows and soliton check against the dense
-reference implementation (``reference_algebra``), and the closed-form
-Ricci diagonal of graph algebras against the general formula."""
+reference implementation and the sparse Fraction one (``reference_algebra``),
+and the closed-form Ricci diagonal of graph algebras against the general
+formula."""
 
 import itertools
 import random
@@ -29,7 +30,7 @@ from graphsolitons import (
     solve_weights,
 )
 from graphsolitons.rational import leading_minors_all_positive
-from conftest import F, p3_and_k3_with_off_diagonal_gram
+from conftest import F, large_algebras, p3_and_k3_with_off_diagonal_gram
 import reference_algebra
 
 
@@ -39,11 +40,15 @@ def _rows_in_order(rows):
 
 def _assert_matches_reference(L):
     """Same dense Ricci matrix, same Leibniz rows in the same row and key
-    order, same certificate or residual; returns the check's result."""
-    assert ricci(L) == reference_algebra.ricci(L)
+    order, same certificate or residual, as the dense reference and as the
+    sparse Fraction path; returns the check's result."""
+    ric = ricci(L)
+    assert ric == reference_algebra.ricci(L)
+    assert ric == reference_algebra.fraction_ricci(L)
     assert _rows_in_order(leibniz_rows(L)) == _rows_in_order(reference_algebra.leibniz_rows(L))
     result = check_soliton(L)
     assert result == reference_algebra.check_soliton(L)
+    assert result == reference_algebra.fraction_check_soliton(L)
     return result
 
 
@@ -170,6 +175,28 @@ def test_off_diagonal_ricci_failing_only_rows_free_of_the_identity():
         assert isinstance(result, NotSoliton) and result.residual == F(1, 3)
 
 
+def test_large_inputs_match_the_fraction_path_over_small_denominators():
+    # Near the cap n = p + q <= 100, on twin-free graphs whose weights have
+    # 60-70-bit denominators: Ric and the check equal the Fraction path, the
+    # check's common denominator (the lcm of Ric's reduced denominators)
+    # stays near the weights' own, and so do the denominators the integer
+    # core carries (one lcm over all of G^-1 would make them d_h^3, about
+    # 9 000-12 700 bits here, d_h the lcm of every G^-1 denominator).
+    labels = []
+    for label, L in large_algebras():
+        assert 100 <= L.n <= 102
+        assert ricci(L) == reference_algebra.fraction_ricci(L)
+        result = check_soliton(L)
+        assert result == reference_algebra.fraction_check_soliton(L)
+        assert isinstance(result, SolitonCertificate)
+        _fracs, _ints, den = algebra._ricci_nonzeros(L)
+        _rows, dens = algebra._ricci_rows(L)
+        assert den.bit_length() < 256, label
+        assert max(dens).bit_length() < 1024, label
+        labels.append(label)
+    assert len(labels) == 9
+
+
 def _row_selection_algebras(rng):
     for g in graph_classes(5, connected_only=False):
         for w in _metrics(g):
@@ -204,7 +231,7 @@ def test_rows_meeting_keys_are_the_full_systems_rows_that_hold_them():
         key_sets += [set(rng.sample(range(n * n), rng.randint(1, n))) for _ in range(4)]
         for keys in key_sets:
             expected = _as_items(row for row in full if not keys.isdisjoint(row))
-            assert _as_items(algebra._leibniz_rows_meeting(L, keys)) == expected
+            assert _as_items(reference_algebra._leibniz_rows_meeting(L, keys)) == expected
             checked += bool(expected)
     assert checked > 300
 

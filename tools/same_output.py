@@ -14,11 +14,16 @@ process, one command after the other.  The commands are:
 - ``analyze`` on every input of the benchmark's analyze workload for seeds 1
   and 3, plus K8, K12, K13 and the edgeless graph on 100 vertices;
 - ``solsoliton`` and ``classify`` on every op of the benchmark's extensions
-  workload for seeds 1 and 2.
+  workload for seeds 1 and 2;
+- ``analyze``, and ``solsoliton --subspace`` on a seeded rank-1 and rank-2
+  subspace, on the seeded large graphs of :data:`LARGE_GRAPHS`
+  (:func:`large_graph`: p = 20, q = 80; p = 30, q = 70; p = 50, q = 50,
+  near the cap n = p + q <= 100).
 
 The benchmark inputs come from ``perfbench/workloads.py`` next to this tool,
-loaded without writing bytecode; they are written once to a temporary
-directory that both checkouts read, so paths in the output agree.  The tool
+loaded without writing bytecode, and so do the exact helpers that pick the
+large graphs; all inputs are written once to a temporary directory that both
+checkouts read, so paths in the output agree.  The tool
 prints the number of commands and the first difference in stdout, stderr,
 exit code or census JSONL, and exits 0 iff there is none (1 otherwise, 2 on
 bad usage).
@@ -30,12 +35,17 @@ import importlib.util
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# (p, q, seed) of the seeded large graphs, and the ranks of their subspaces
+LARGE_GRAPHS = ((20, 80, 1), (30, 70, 2), (50, 50, 3))
+LARGE_RANKS = (1, 2)
 
 # Runs in the checkout's interpreter: argv lists arrive as JSON on stdin, one
 # JSON record per command goes to the results file.  A census JSONL is moved
@@ -82,6 +92,30 @@ def _graph_file(workdir: str, name: str, p: int, edges) -> str:
     return path
 
 
+def large_graph(p: int, q: int, seed: int) -> list[tuple[int, int]]:
+    """A seeded connected graph on p vertices with q edges, twin-free and
+    positive: the path 1-2-...-p plus q - p + 1 random chords, drawn again
+    until no two vertices are twins and the positivity solution is > 0."""
+    workloads = _load_workloads()
+    rng = random.Random(seed)
+    path = [(i, i + 1) for i in range(1, p)]
+    chords = [(i, j) for i, j in itertools.combinations(range(1, p + 1), 2) if j > i + 1]
+    while True:
+        edges = sorted(path + rng.sample(chords, q - p + 1))
+        if max(workloads.twin_class_sizes(p, edges)) == 1 and workloads.positivity_solution(edges)[0]:
+            return edges
+
+
+def large_subspace(p: int, r: int, seed: int) -> list[list[int]]:
+    """r seeded integer vectors in [-3, 3]^p of rank r."""
+    workloads = _load_workloads()
+    rng = random.Random(seed)
+    while True:
+        vectors = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(r)]
+        if workloads.rank(vectors) == r:
+            return vectors
+
+
 def command_set(workdir: str) -> list[list[str]]:
     """The argv lists, with every input file written under ``workdir``."""
     workloads = _load_workloads()
@@ -103,6 +137,14 @@ def command_set(workdir: str) -> list[list[str]]:
         path = _graph_file(workdir, f"K{p}", p, itertools.combinations(range(1, p + 1), 2))
         argvs.append(["analyze", path])
     argvs.append(["analyze", _graph_file(workdir, "edgeless100", 100, ())])
+    for p, q, seed in LARGE_GRAPHS:
+        graph = _graph_file(workdir, f"large{p}_{q}", p, large_graph(p, q, seed))
+        argvs.append(["analyze", graph])
+        for r in LARGE_RANKS:
+            path = os.path.join(workdir, f"large{p}_{q}_r{r}.s")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(" ".join(map(str, v)) + "\n" for v in large_subspace(p, r, seed)))
+            argvs.append(["solsoliton", graph, "--subspace", path])
     return argvs
 
 
